@@ -89,6 +89,14 @@ def _group_by_size(cands):
     return by
 
 
+def _check_budget(slots, budget):
+    """Refuse a chain whose largest slot has more than ``budget`` candidate states."""
+    if budget is not None:
+        states = max(len(c) for c in slots)
+        if states > budget:
+            raise BudgetExceededError(f"chain enumeration needs {states} states, budget is {budget}")
+
+
 def cyclic_chain_sum(lams, factor, budget=None) -> int:
     """Sum over cyclic chains of products factor(a_i, a_{i+1}, lams[i]).
 
@@ -103,10 +111,7 @@ def cyclic_chain_sum(lams, factor, budget=None) -> int:
         return 0
     bounds = [minimum(lams[(i - 1) % m], lams[i]) for i in range(m)]
     cands = [partitions_in_box(b) for b in bounds]
-    if budget is not None and max(len(c) for c in cands) > budget:
-        raise BudgetExceededError(
-            f"chain enumeration needs {max(len(c) for c in cands)} states, budget is {budget}"
-        )
+    _check_budget(cands, budget)
     by_size = [_group_by_size(c) for c in cands]
     sizes = [size(l) for l in lams]
 
@@ -178,21 +183,26 @@ def f1(lambdas, n: int, budget=None) -> int:
     box = (width,) * length
     if m > 4:
         box = minimum(box, lams[2])
+    first_cands = partitions_of_size_in_box(s_first, box)
+    # python indices of the middle lambdas, and the candidates of their slots
+    middle = range(2, m - 2)
+    middle_cands = [
+        partitions_in_box(minimum(lams[i], lams[i + 1]) if i + 1 < m - 2 else lams[i])
+        for i in middle
+    ]
+    _check_budget([first_cands] + middle_cands, budget)
     first = {}
-    for a in partitions_of_size_in_box(s_first, box):
+    for a in first_cands:
         v = lr_coefficient(lams[0], lams[1], a, rank)
         if v:
             first[a] = v
-    if budget is not None and len(first) > budget:
-        raise BudgetExceededError(f"f1 enumeration exceeds budget {budget}")
 
     # middle factors c^{lams[i]}_{a_{k-1}, a_k} for math index i = 3..m-2
     cur = first
-    for i in range(2, m - 2):  # python index of the middle lambda
+    for i, cands in zip(middle, middle_cands):
         nxt = {}
         target = lams[i]
-        bound = minimum(target, lams[i + 1]) if i + 1 < m - 2 else target
-        by_size = _group_by_size(partitions_in_box(bound))
+        by_size = _group_by_size(cands)
         for a, wt in cur.items():
             need = size(target) - size(a)
             for b in by_size.get(need, ()):
@@ -223,19 +233,19 @@ def f2(lambdas, n: int, budget=None) -> int:
         return lr_coefficient(lams[0], lams[2], lams[1], n)
 
     s1 = size(lams[1]) - size(lams[0])
-    bound = minimum(lams[1], lams[2])
+    first_cands = partitions_of_size_in_box(s1, minimum(lams[1], lams[2]))
+    middle = range(2, m - 2)  # python indices of the middle lambdas
+    middle_cands = [partitions_in_box(minimum(lams[i], lams[i + 1])) for i in middle]
+    _check_budget([first_cands] + middle_cands, budget)
     cur = {}
-    for a in partitions_of_size_in_box(s1, bound):
+    for a in first_cands:
         v = lr_coefficient(lams[0], a, lams[1], n)
         if v:
             cur[a] = v
-    if budget is not None and len(cur) > budget:
-        raise BudgetExceededError(f"f2 enumeration exceeds budget {budget}")
-    for i in range(2, m - 2):  # middle lambdas, python index
+    for i, cands in zip(middle, middle_cands):
         nxt = {}
         target = lams[i]
-        bound = minimum(target, lams[i + 1])
-        by_size = _group_by_size(partitions_in_box(bound))
+        by_size = _group_by_size(cands)
         for a, wt in cur.items():
             need = size(target) - size(a)
             for b in by_size.get(need, ()):

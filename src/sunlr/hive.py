@@ -389,15 +389,15 @@ def build_linear_system(lambdas, n: int, m=None) -> LinearSystem:
     return LinearSystem(tuple(names), ineqs, eqs, n, m)
 
 
-def lp_feasible(system: LinearSystem, method="auto") -> bool:
+def lp_feasible(system: LinearSystem) -> bool:
     """Exact rational feasibility of the system (no floating point)."""
-    return feasible(system.ineqs, system.eqs, len(system.variables), method=method)
+    return feasible(system.ineqs, system.eqs, len(system.variables))
 
 
-def positivity(lambdas, n: int, m=None, method="auto") -> bool:
+def positivity(lambdas, n: int, m=None) -> bool:
     """Whether the chain multiplicity is positive, decided by LP feasibility."""
     system = build_linear_system(lambdas, n, m)
-    return lp_feasible(system, method=method)
+    return lp_feasible(system)
 
 
 def cross_array_gaps(h: SunHive) -> list[dict]:

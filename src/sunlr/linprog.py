@@ -1,19 +1,22 @@
 """Exact rational linear feasibility.
 
 No floating point anywhere: coefficients are ints or fractions.Fraction.
-Three entry points:
 
-* ``fourier_motzkin_feasible`` decides Ax <= b by variable elimination with
-  row normalization and deduplication.  Exponential in the worst case but
-  comfortable for the small systems produced by hive polytopes.
-* ``simplex_feasible`` decides {Ax <= b, Ex = d} by a phase-1 simplex with
-  Bland's rule (termination guaranteed).  Used for larger systems and as an
-  independent cross-check of the elimination backend.
+* ``feasible`` decides {Ax <= b, Ex = d}: ``eliminate_equalities``
+  substitutes the equalities out, the columns they leave zero in every row
+  are dropped, and ``simplex_feasible`` decides the reduced inequalities.
+* ``simplex_feasible`` decides {Ax <= b, Ex = d} directly by a phase-1
+  simplex with Bland's rule (termination guaranteed).
 * ``cone_implied`` decides whether c.x <= 0 follows from a homogeneous
   system {rows.x <= 0, eqs.x = 0}; by LP duality this is membership of c in
   the cone spanned by the rows plus the span of the equalities, solved as a
   small phase-1 problem in the dual (one equation per ambient coordinate).
+* ``fourier_motzkin_feasible`` decides Ax <= b by variable elimination.  It
+  is exponential in the worst case and no route of the package uses it: it
+  is the reference the tests compare the simplex against, sharing no
+  arithmetic with it.
 
+The simplex and ``cone_implied`` share one pivot loop, ``_phase1``.
 Rows are dense sequences of length nvars; a constraint is (coeffs, rhs).
 """
 
@@ -81,7 +84,10 @@ def eliminate_equalities(ineqs, eqs, nvars):
     return True, [(tuple(r[:nvars]), r[nvars]) for r in ineq_rows]
 
 
-def fourier_motzkin_feasible(ineqs, nvars, max_rows=20000) -> bool:
+_FM_MAX_ROWS = 20000
+
+
+def fourier_motzkin_feasible(ineqs, nvars) -> bool:
     """Feasibility of Ax <= b over the rationals by variable elimination."""
     rows = set()
     for a, b in ineqs:
@@ -123,115 +129,81 @@ def fourier_motzkin_feasible(ineqs, nvars, max_rows=20000) -> bool:
                     continue
                 rest.add((ia, ib))
         active = rest
-        if len(active) > max_rows:
-            raise InvalidInputError(
-                f"Fourier-Motzkin exceeded {max_rows} rows; use the simplex backend"
-            )
+        if len(active) > _FM_MAX_ROWS:
+            raise InvalidInputError(f"Fourier-Motzkin exceeded {_FM_MAX_ROWS} rows")
+
+
+def _phase1(rows, basis, ncols) -> bool:
+    """Whether the equations ``rows`` have a solution in ncols nonnegative variables.
+
+    Each row is ``[coefficients..., rhs]`` of Fractions.  ``basis[r]`` is a
+    column that is the unit vector of row r (a slack), or None.  Rows with a
+    negative rhs are negated and lose their slack; every row without one
+    gets an artificial variable.  Phase 1 then minimizes the sum of the
+    artificials, with Bland's rule (smallest entering column, ties in the
+    ratio test to the smallest basic column) so that it cannot cycle.
+    """
+    for r, row in enumerate(rows):
+        if row[-1] < 0:
+            rows[r] = [-x for x in row]
+            basis[r] = None
+    needs_art = [r for r, bc in enumerate(basis) if bc is None]
+    tableau = [row[:-1] + [Fraction(0)] * len(needs_art) + row[-1:] for row in rows]
+    first_art = ncols
+    for k, r in enumerate(needs_art):
+        tableau[r][first_art + k] = Fraction(1)
+        basis[r] = first_art + k
+    ncols += len(needs_art)
+
+    while True:
+        # reduced cost of column j: its sum over the rows with a basic
+        # artificial, less 1 if j is itself artificial
+        art_rows = [tableau[r] for r, bc in enumerate(basis) if bc >= first_art]
+        enter = next(
+            (j for j in range(ncols) if sum(row[j] for row in art_rows) > (j >= first_art)),
+            None,
+        )
+        if enter is None:
+            return all(row[-1] == 0 for row in art_rows)
+        # a positive reduced cost needs a positive entry in some row
+        _, _, r = min(
+            (row[-1] / row[enter], basis[rr], rr)
+            for rr, row in enumerate(tableau)
+            if row[enter] > 0
+        )
+        piv = tableau[r][enter]
+        pivot_row = tableau[r] = [x / piv for x in tableau[r]]
+        for rr, row in enumerate(tableau):
+            factor = row[enter]
+            if rr != r and factor:
+                tableau[rr] = [x - factor * p for x, p in zip(row, pivot_row)]
+        basis[r] = enter
 
 
 def simplex_feasible(ineqs, eqs, nvars) -> bool:
     """Phase-1 simplex feasibility for {Ax <= b, Ex = d}, x free.
 
-    Free variables are split x = u - v; every row gets a slack (inequality)
-    and, when needed, an artificial; Bland's rule prevents cycling.
+    Free variables are split x = u - v and every inequality gets a slack,
+    which is its starting basic variable when its rhs is nonnegative.
     """
     n_ineq = len(ineqs)
-    base_cols = 2 * nvars + n_ineq
-    rows = []
-    basis = []
-    art_rows = []
-    for i, (a, b) in enumerate(ineqs):
-        row = [Fraction(c) for c in a] + [-Fraction(c) for c in a] + [Fraction(0)] * n_ineq
-        row[2 * nvars + i] = Fraction(1)
-        b = Fraction(b)
-        if b < 0:
-            row = [-c for c in row]
-            b = -b
-            basis.append(None)
-            art_rows.append(len(rows))
-        else:
-            basis.append(2 * nvars + i)
-        rows.append((row, b))
-    for a, b in eqs:
-        row = [Fraction(c) for c in a] + [-Fraction(c) for c in a] + [Fraction(0)] * n_ineq
-        b = Fraction(b)
-        if b < 0:
-            row = [-c for c in row]
-            b = -b
-        basis.append(None)
-        art_rows.append(len(rows))
-        rows.append((row, b))
-    n_art = len(art_rows)
-    tableau = []
-    for r, (row, b) in enumerate(rows):
-        ext = row + [Fraction(0)] * n_art + [b]
-        tableau.append(ext)
-    for k, r in enumerate(art_rows):
-        tableau[r][base_cols + k] = Fraction(1)
-        basis[r] = base_cols + k
-    ncols = base_cols + n_art
-    is_art = [False] * ncols
-    for k in range(n_art):
-        is_art[base_cols + k] = True
-
-    def reduced_costs():
-        red = [Fraction(0)] * ncols
-        for r, bc in enumerate(basis):
-            if is_art[bc]:
-                row = tableau[r]
-                for j in range(ncols):
-                    red[j] += row[j]
-        for j in range(ncols):
-            if is_art[j]:
-                red[j] -= 1
-        return red
-
-    while True:
-        red = reduced_costs()
-        enter = next((j for j in range(ncols) if red[j] > 0), None)
-        if enter is None:
-            w = sum(tableau[r][ncols] for r, bc in enumerate(basis) if is_art[bc])
-            return w == 0
-        best = None
-        for r in range(len(tableau)):
-            a = tableau[r][enter]
-            if a > 0:
-                ratio = tableau[r][ncols] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
-        if best is None:
-            # unbounded in phase 1 cannot happen (objective bounded below by 0)
-            return False
-        _, r = best
-        piv = tableau[r][enter]
-        tableau[r] = [c / piv for c in tableau[r]]
-        for rr in range(len(tableau)):
-            if rr == r:
-                continue
-            factor = tableau[rr][enter]
-            if factor:
-                tableau[rr] = [c - factor * p for c, p in zip(tableau[rr], tableau[r])]
-        basis[r] = enter
+    rows = [
+        [Fraction(c) for c in a] + [-Fraction(c) for c in a] + [Fraction(0)] * n_ineq + [Fraction(b)]
+        for a, b in [*ineqs, *eqs]
+    ]
+    basis = [2 * nvars + i for i in range(n_ineq)] + [None] * len(eqs)
+    for i in range(n_ineq):
+        rows[i][basis[i]] = Fraction(1)
+    return _phase1(rows, basis, 2 * nvars + n_ineq)
 
 
-def feasible(ineqs, eqs, nvars, method="auto") -> bool:
+def feasible(ineqs, eqs, nvars) -> bool:
     """Exact feasibility of {Ax <= b, Ex = d} over the rationals."""
-    if method not in ("auto", "fm", "simplex"):
-        raise InvalidInputError(f"unknown LP method {method!r}")
-    if method == "simplex":
-        return simplex_feasible(ineqs, eqs, nvars)
     ok, reduced = eliminate_equalities(ineqs, eqs, nvars)
     if not ok:
         return False
-    if method == "fm":
-        return fourier_motzkin_feasible(reduced, nvars)
-    live = len({j for a, _ in reduced for j in range(nvars) if a[j]})
-    if live <= 14 and len(reduced) <= 160:
-        try:
-            return fourier_motzkin_feasible(reduced, nvars)
-        except InvalidInputError:
-            pass
-    return simplex_feasible(ineqs, eqs, nvars)
+    live = [j for j in range(nvars) if any(a[j] for a, _ in reduced)]
+    return simplex_feasible([(tuple(a[j] for j in live), b) for a, b in reduced], [], len(live))
 
 
 def cone_implied(c, rows, eqs, nvars) -> bool:
@@ -241,71 +213,11 @@ def cone_implied(c, rows, eqs, nvars) -> bool:
     c = sum y_r r + sum t_h h with y >= 0, t free; decided as a phase-1
     problem with one equation per coordinate and one variable per row.
     """
-    gens = [tuple(Fraction(x) for x in r) for r in rows]
-    frees = [tuple(Fraction(x) for x in h) for h in eqs]
-    target = [Fraction(x) for x in c]
     # variables: y_r >= 0, t_h split into two nonnegative halves
-    cols = []
-    cols.extend(gens)
-    for h in frees:
+    cols = [tuple(Fraction(x) for x in r) for r in rows]
+    for h in eqs:
+        h = tuple(Fraction(x) for x in h)
         cols.append(h)
         cols.append(tuple(-x for x in h))
-    ncols = len(cols)
-    eq_rows = []
-    for coord in range(nvars):
-        eq_rows.append((tuple(col[coord] for col in cols), target[coord]))
-    return _nonneg_feasible(eq_rows, ncols)
-
-
-def _nonneg_feasible(eq_rows, nvars) -> bool:
-    """Phase-1 feasibility of {Ex = d, x >= 0} (no sign splitting)."""
-    rows = []
-    for a, b in eq_rows:
-        row = [Fraction(c) for c in a]
-        b = Fraction(b)
-        if b < 0:
-            row = [-c for c in row]
-            b = -b
-        rows.append((row, b))
-    n_art = len(rows)
-    ncols = nvars + n_art
-    tableau = []
-    basis = []
-    for r, (row, b) in enumerate(rows):
-        ext = row + [Fraction(0)] * n_art + [b]
-        ext[nvars + r] = Fraction(1)
-        tableau.append(ext)
-        basis.append(nvars + r)
-    is_art = [j >= nvars for j in range(ncols)]
-
-    while True:
-        red = [Fraction(0)] * ncols
-        for r, bc in enumerate(basis):
-            if is_art[bc]:
-                row = tableau[r]
-                for j in range(ncols):
-                    red[j] += row[j]
-        for j in range(ncols):
-            if is_art[j]:
-                red[j] -= 1
-        enter = next((j for j in range(ncols) if red[j] > 0), None)
-        if enter is None:
-            w = sum(tableau[r][ncols] for r, bc in enumerate(basis) if is_art[bc])
-            return w == 0
-        best = None
-        for r in range(len(tableau)):
-            a = tableau[r][enter]
-            if a > 0:
-                ratio = tableau[r][ncols] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
-        if best is None:
-            return False
-        _, r = best
-        piv = tableau[r][enter]
-        tableau[r] = [x / piv for x in tableau[r]]
-        for rr in range(len(tableau)):
-            if rr != r and tableau[rr][enter]:
-                factor = tableau[rr][enter]
-                tableau[rr] = [x - factor * p for x, p in zip(tableau[rr], tableau[r])]
-        basis[r] = enter
+    eq_rows = [[col[k] for col in cols] + [Fraction(c[k])] for k in range(nvars)]
+    return _phase1(eq_rows, [None] * nvars, len(cols))

@@ -243,12 +243,6 @@ def _lr_hive_count_cached(lam, mu, nu, n):
     return sum(1 for _ in iter_lr_hives(lam, mu, nu, n))
 
 
-def hive_to_json_dict(hive) -> dict:
-    """Debug dump of one hive labeling as {"e": [[..]], "f": [[..]], "g": [[..]]}."""
-    e, f, g = hive
-    return {"e": e, "f": f, "g": g}
-
-
 def rectangular_lr(lam, mu, N: int, n: int) -> int:
     """c^{(N^n)}_{lam,mu}: 1 iff lam_i + mu_{n+1-i} = N for i = 1..n, else 0."""
     lam = canonical(lam)

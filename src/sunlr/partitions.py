@@ -15,8 +15,6 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .errors import InvalidInputError
 
 IntSeq = tuple[int, ...]
@@ -101,16 +99,6 @@ def stretch(seq, r: int) -> IntSeq:
     if r <= 0:
         raise InvalidInputError(f"stretch factor must be >= 1, got {r}")
     return tuple(r * x for x in seq)
-
-
-def add(lam, mu) -> IntSeq:
-    """Componentwise sum after zero padding."""
-    a = canonical(lam)
-    b = canonical(mu)
-    width = max(len(a), len(b))
-    a = a + (0,) * (width - len(a))
-    b = b + (0,) * (width - len(b))
-    return canonical(x + y for x, y in zip(a, b))
 
 
 def check_subset(subset, n: int) -> IntSeq:
@@ -213,7 +201,3 @@ def iter_partition_tuples(n_parts: int, max_entry: int, length: int):
             acc.pop()
 
     yield from rec(0, [])
-
-
-def take(iterable, k):
-    return list(islice(iterable, k))

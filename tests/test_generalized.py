@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sunlr import generalized
 from sunlr.errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
 from sunlr.generalized import (
     ChainProblem,
@@ -48,6 +49,21 @@ def test_f_sun_size_balance():
 def test_f_sun_budget_guard():
     with pytest.raises(BudgetExceededError):
         f_sun([(4, 4, 4)] * 4, 3, budget=3)
+
+
+def test_open_chain_budget_stops_before_any_coefficient(monkeypatch):
+    calls = []
+
+    def counting_lr_coefficient(*args):
+        calls.append(args)
+        return lr_coefficient(*args)
+
+    monkeypatch.setattr(generalized, "lr_coefficient", counting_lr_coefficient)
+    with pytest.raises(BudgetExceededError):
+        f1([(6, 5, 4, 3), (6, 5, 4, 3), (5, 5, 4, 4), (6, 4, 3, 2)], 4, budget=1)
+    with pytest.raises(BudgetExceededError):
+        f2([(1,), (3, 2), (3, 2), (1,)], 2, budget=1)
+    assert calls == []
 
 
 def test_f_sun_cyclic_symmetry():

@@ -18,6 +18,7 @@ from sunlr.hive import (
     sun_hive_to_json,
     validate_sun_hive,
 )
+from sunlr.linprog import eliminate_equalities, fourier_motzkin_feasible, simplex_feasible
 from sunlr.partitions import stretch
 
 
@@ -144,13 +145,22 @@ def test_lp_backends_agree():
     for lams in cases:
         n = max((len(l) for l in lams), default=1) or 1
         system = build_linear_system(lams, n)
-        assert lp_feasible(system, "fm") == lp_feasible(system, "simplex"), lams
+        nvars = len(system.variables)
+        ok, reduced = eliminate_equalities(system.ineqs, system.eqs, nvars)
+        by_fm = ok and fourier_motzkin_feasible(reduced, nvars)
+        by_raw_simplex = simplex_feasible(system.ineqs, system.eqs, nvars)
+        assert by_fm == by_raw_simplex == lp_feasible(system), lams
 
 
 def test_positivity_examples():
     assert positivity([(1, 0)] * 6, 2)
     assert not positivity([(1, 0), (3, 0), (1, 0), (), (1, 0), ()], 2)
     assert positivity([()] * 4, 2)
+
+
+def test_positivity_n3_m4_matches_chain_sum():
+    for lams in [((), (), (), ()), ((1,), (1,), (), ()), ((2,), (1, 1), (), ())]:
+        assert positivity(lams, 3, 4) == (f_sun(lams, 3) > 0), lams
 
 
 def test_positivity_stretch_consistency():

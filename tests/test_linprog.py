@@ -13,29 +13,42 @@ from sunlr.linprog import (
 )
 
 
+def checked_feasible(ineqs, eqs, nvars):
+    """feasible(...), asserted equal to two routes that each skip half of it.
+
+    One keeps the equality elimination but decides the rest by
+    Fourier-Motzkin; the other runs the simplex on the raw system, with its
+    equalities, and eliminates nothing.
+    """
+    ok, reduced = eliminate_equalities(ineqs, eqs, nvars)
+    by_fm = ok and fourier_motzkin_feasible(reduced, nvars)
+    by_raw_simplex = simplex_feasible(ineqs, eqs, nvars)
+    value = feasible(ineqs, eqs, nvars)
+    assert by_fm == by_raw_simplex == value, (ineqs, eqs)
+    return value
+
+
 def test_basic_cases():
-    assert not feasible([((-1,), 0), ((1,), -1)], [], 1, "fm")
-    assert not feasible([((-1,), 0), ((1,), -1)], [], 1, "simplex")
+    assert not checked_feasible([((-1,), 0), ((1,), -1)], [], 1)
     assert feasible([((-1, 0), 0), ((0, -1), 0)], [((1, 1), 1)], 2)
     assert not feasible([((-1, 0), 0), ((0, -1), 0)], [((1, 1), -1)], 2)
 
 
 def test_rational_rhs():
     ineqs = [((2,), Fraction(1, 3)), ((-2,), Fraction(1, 3))]
-    assert feasible(ineqs, [], 1, "fm")
-    assert feasible(ineqs, [], 1, "simplex")
+    assert checked_feasible(ineqs, [], 1)
     assert not feasible([((2,), Fraction(-1, 3)), ((-2,), Fraction(-1, 3))], [], 1)
 
 
 def test_inconsistent_equalities():
     ok, _ = eliminate_equalities([], [((0, 0), 1)], 2)
     assert not ok
-    assert not feasible([], [((0, 0), 1)], 2, "fm")
+    assert not checked_feasible([], [((0, 0), 1)], 2)
 
 
 def test_empty_system_is_feasible():
-    assert feasible([], [], 3, "fm")
-    assert feasible([], [], 0, "simplex")
+    assert checked_feasible([], [], 3)
+    assert checked_feasible([], [], 0)
 
 
 rows = st.tuples(
@@ -47,7 +60,7 @@ rows = st.tuples(
 @given(st.lists(rows, max_size=6), st.lists(rows, max_size=2))
 @settings(max_examples=120, deadline=None)
 def test_backends_agree(ineqs, eqs):
-    assert feasible(ineqs, eqs, 3, "fm") == simplex_feasible(ineqs, eqs, 3)
+    checked_feasible(ineqs, eqs, 3)
 
 
 def test_backends_agree_randomized_larger():
@@ -62,7 +75,7 @@ def test_backends_agree_randomized_larger():
             (tuple(random.randint(-2, 2) for _ in range(nv)), random.randint(-3, 3))
             for _ in range(random.randint(0, 2))
         ]
-        assert feasible(ineqs, eqs, nv, "fm") == simplex_feasible(ineqs, eqs, nv), (ineqs, eqs)
+        checked_feasible(ineqs, eqs, nv)
 
 
 def test_cone_implied_basics():
