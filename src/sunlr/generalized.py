@@ -13,12 +13,23 @@ partitions alpha with every factor a single LR coefficient:
               c^{l(m-1)}_{a(m-3),l(m)} for m >= 3; the m = 3 case is the
               plain LR coefficient c^{l(2)}_{l(1),l(3)}.
 
-Chains are enumerated with containment pruning (a factor c^nu_{., .} dies
-unless both lower arguments fit inside nu componentwise) and exact size
-bookkeeping, organized as a sparse transfer-matrix product so shared
-prefixes are not re-walked.  ``cyclic_chain_sum`` is parameterized by the
-factor function so the hive-counting module can run the same decomposition
-with an independent per-factor engine.
+All three run one walk, ``_walk``: a sparse weight vector {a: w} is pushed
+through a list of chain slots, each slot a target nu with its candidate
+partitions grouped by size, and multiplied by factor(a, b, nu).  Candidates
+are pruned by containment (a factor c^nu_{., .} dies unless both lower
+arguments fit inside nu componentwise) and by exact size bookkeeping.  The
+closed chain of ``f_sun`` starts the walk from each state of its first
+slot and closes on it; ``f1`` and ``f2`` supply only their end data.
+``cyclic_chain_sum`` is parameterized by the factor function so the
+hive-counting module can run the same decomposition with an independent
+per-factor engine.
+
+Inputs are validated once, by ``ChainProblem``.  The walk then calls the
+cached partition-only kernel ``lr._lr_tableau_count`` directly.  Every
+argument it sees is a canonical partition: a slot state lies inside the
+upper argument of each factor it enters, the ends of ``f2`` have at most n
+parts and those of ``f1`` at most 2n.  So a rank would never zero a factor,
+and ``lr_coefficient``'s checks, padding and twists would be repeated work.
 
 Stretched evaluation recomputes each N from scratch; polynomiality in N is
 a property we test, never an assumption we exploit.
@@ -30,7 +41,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
-from .lr import lr_coefficient
+from .lr import _lr_tableau_count, lr_coefficient
 from .partitions import (
     IntSeq,
     canonical,
@@ -97,6 +108,42 @@ def _check_budget(slots, budget):
             raise BudgetExceededError(f"chain enumeration needs {states} states, budget is {budget}")
 
 
+def _walk(cur, slots, factor):
+    """Push the sparse weight vector ``cur = {a: w}`` through chain slots.
+
+    Slot ``(nu, by_size)`` sends a to every b in by_size[|nu| - |a|] with
+    weight factor(a, b, nu).  Stops early once the vector is empty.
+    """
+    for nu, by_size in slots:
+        target = size(nu)
+        nxt = {}
+        for a, wt in cur.items():
+            for b in by_size.get(target - size(a), ()):
+                val = factor(a, b, nu)
+                if val:
+                    nxt[b] = nxt.get(b, 0) + wt * val
+        cur = nxt
+        if not cur:
+            break
+    return cur
+
+
+def _slots(lams, cands):
+    """Chain slots (lams[i], cands[i] grouped by size), paired in order."""
+    return [(nu, _group_by_size(c)) for nu, c in zip(lams, cands)]
+
+
+def cyclic_slot_candidates(lams):
+    """Candidates of each slot of the cyclic chain through ``lams``.
+
+    Slot i holds the partitions inside min(lams[i-1], lams[i]).  Returns
+    None when the odd and even size totals differ: then no chain closes.
+    """
+    if sum(size(l) for l in lams[0::2]) != sum(size(l) for l in lams[1::2]):
+        return None
+    return [partitions_in_box(minimum(lams[i - 1], lams[i])) for i in range(len(lams))]
+
+
 def cyclic_chain_sum(lams, factor, budget=None) -> int:
     """Sum over cyclic chains of products factor(a_i, a_{i+1}, lams[i]).
 
@@ -104,48 +151,16 @@ def cyclic_chain_sum(lams, factor, budget=None) -> int:
     componentwise by min(lams[i-1], lams[i]) and slot sizes are forced by
     |a_{i+1}| = |lams[i]| - |a_i|.
     """
-    m = len(lams)
-    odd_total = sum(size(lams[i]) for i in range(0, m, 2))
-    even_total = sum(size(lams[i]) for i in range(1, m, 2))
-    if odd_total != even_total:
+    cands = cyclic_slot_candidates(lams)
+    if cands is None:
         return 0
-    bounds = [minimum(lams[(i - 1) % m], lams[i]) for i in range(m)]
-    cands = [partitions_in_box(b) for b in bounds]
     _check_budget(cands, budget)
-    by_size = [_group_by_size(c) for c in cands]
-    sizes = [size(l) for l in lams]
-
-    # U[a0][ai] = sum of partial products over chains a0 -> ... -> ai
-    U = {a: {a: 1} for a in cands[0]}
-    for i in range(m - 1):
-        nxt = {}
-        for a0, row in U.items():
-            acc = {}
-            for b, wt in row.items():
-                need = sizes[i] - size(b)
-                for c in by_size[i + 1].get(need, ()):
-                    val = factor(b, c, lams[i])
-                    if val:
-                        acc[c] = acc.get(c, 0) + wt * val
-            if acc:
-                nxt[a0] = acc
-        U = nxt
-        if not U:
-            return 0
+    slots = _slots(lams, cands[1:])
     total = 0
-    for a0, row in U.items():
-        for b, wt in row.items():
-            if size(b) + size(a0) != sizes[m - 1]:
-                continue
-            val = factor(b, a0, lams[m - 1])
-            if val:
-                total += wt * val
+    for a0 in cands[0]:
+        close = (lams[-1], {size(a0): [a0]})
+        total += _walk({a0: 1}, [*slots, close], factor).get(a0, 0)
     return total
-
-
-def _lr_factor(a, b, nu):
-    rank = max(1, len(nu))
-    return lr_coefficient(a, b, nu, rank)
 
 
 _F_SUN_MEMO: dict[tuple, int] = {}
@@ -160,7 +175,7 @@ def f_sun(lambdas, n: int, budget=None) -> int:
     hit = _F_SUN_MEMO.get(key)
     if hit is not None:
         return hit
-    val = cyclic_chain_sum(p.lambdas, _lr_factor, budget=budget)
+    val = cyclic_chain_sum(p.lambdas, _lr_tableau_count, budget=budget)
     _F_SUN_MEMO[key] = val
     return val
 
@@ -172,54 +187,19 @@ def f1(lambdas, n: int, budget=None) -> int:
         return 0
     lams = p.lambdas
     m = p.m
-    s_first = size(lams[0]) + size(lams[1])
-    s_last = size(lams[m - 2]) + size(lams[m - 1])
-    rank = max(2 * n, 1)
-
-    width = lams[0][0] + lams[1][0] if (lams[0] and lams[1]) else max(
-        lams[0][0] if lams[0] else 0, lams[1][0] if lams[1] else 0
-    )
-    length = len(lams[0]) + len(lams[1])
-    box = (width,) * length
+    kernel = _lr_tableau_count
+    box = (sum(l[0] for l in lams[:2] if l),) * (len(lams[0]) + len(lams[1]))
     if m > 4:
         box = minimum(box, lams[2])
-    first_cands = partitions_of_size_in_box(s_first, box)
-    # python indices of the middle lambdas, and the candidates of their slots
-    middle = range(2, m - 2)
-    middle_cands = [
-        partitions_in_box(minimum(lams[i], lams[i + 1]) if i + 1 < m - 2 else lams[i])
-        for i in middle
-    ]
-    _check_budget([first_cands] + middle_cands, budget)
-    first = {}
-    for a in first_cands:
-        v = lr_coefficient(lams[0], lams[1], a, rank)
-        if v:
-            first[a] = v
-
-    # middle factors c^{lams[i]}_{a_{k-1}, a_k} for math index i = 3..m-2
-    cur = first
-    for i, cands in zip(middle, middle_cands):
-        nxt = {}
-        target = lams[i]
-        by_size = _group_by_size(cands)
-        for a, wt in cur.items():
-            need = size(target) - size(a)
-            for b in by_size.get(need, ()):
-                v = lr_coefficient(a, b, target, max(1, len(target)))
-                if v:
-                    nxt[b] = nxt.get(b, 0) + wt * v
-        cur = nxt
-        if not cur:
-            return 0
-    total = 0
-    for a, wt in cur.items():
-        if size(a) != s_last:
-            continue
-        v = lr_coefficient(lams[m - 2], lams[m - 1], a, rank)
-        if v:
-            total += wt * v
-    return total
+    # a(k) is a lower argument of c^{l(k+2)} for k <= m-4 and of c^{l(k+1)} for k >= 2
+    cands = [partitions_of_size_in_box(size(lams[0]) + size(lams[1]), box)]
+    cands += [partitions_in_box(minimum(lams[i], lams[i + 1])) for i in range(2, m - 3)]
+    if m > 4:
+        cands.append(partitions_in_box(lams[m - 3]))
+    _check_budget(cands, budget)
+    first = {a: v for a in cands[0] if (v := kernel(lams[0], lams[1], a))}
+    last = _walk(first, _slots(lams[2 : m - 2], cands[1:]), kernel)
+    return sum(wt * kernel(lams[m - 2], lams[m - 1], a) for a, wt in last.items())
 
 
 def f2(lambdas, n: int, budget=None) -> int:
@@ -231,36 +211,14 @@ def f2(lambdas, n: int, budget=None) -> int:
     m = p.m
     if m == 3:
         return lr_coefficient(lams[0], lams[2], lams[1], n)
-
-    s1 = size(lams[1]) - size(lams[0])
-    first_cands = partitions_of_size_in_box(s1, minimum(lams[1], lams[2]))
-    middle = range(2, m - 2)  # python indices of the middle lambdas
-    middle_cands = [partitions_in_box(minimum(lams[i], lams[i + 1])) for i in middle]
-    _check_budget([first_cands] + middle_cands, budget)
-    cur = {}
-    for a in first_cands:
-        v = lr_coefficient(lams[0], a, lams[1], n)
-        if v:
-            cur[a] = v
-    for i, cands in zip(middle, middle_cands):
-        nxt = {}
-        target = lams[i]
-        by_size = _group_by_size(cands)
-        for a, wt in cur.items():
-            need = size(target) - size(a)
-            for b in by_size.get(need, ()):
-                v = lr_coefficient(a, b, target, max(1, len(target)))
-                if v:
-                    nxt[b] = nxt.get(b, 0) + wt * v
-        cur = nxt
-        if not cur:
-            return 0
-    total = 0
-    for a, wt in cur.items():
-        v = lr_coefficient(a, lams[m - 1], lams[m - 2], n)
-        if v:
-            total += wt * v
-    return total
+    # slot k feeds c^{lams[k]}_{a(k-1), a(k)} with a(0) = lams[0]; the closing
+    # slot c^{lams[m-2]}_{a(m-3), lams[m-1]} has the single state lams[m-1]
+    cands = [partitions_of_size_in_box(size(lams[1]) - size(lams[0]), minimum(lams[1], lams[2]))]
+    cands += [partitions_in_box(minimum(lams[i], lams[i + 1])) for i in range(2, m - 2)]
+    _check_budget(cands, budget)
+    end = lams[m - 1]
+    slots = [*_slots(lams[1 : m - 2], cands), (lams[m - 2], {size(end): [end]})]
+    return _walk({lams[0]: 1}, slots, _lr_tableau_count).get(end, 0)
 
 
 @dataclass(frozen=True)

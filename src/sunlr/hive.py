@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, UnsupportedShapeError
-from .generalized import cyclic_chain_sum
+from .generalized import cyclic_chain_sum, cyclic_slot_candidates
 from .linprog import feasible
 from .lr import iter_lr_hives, lr_hive_count
 from .partitions import canonical, check_partition, is_partition, pad, size
@@ -172,14 +172,9 @@ def iter_sun_hives(lambdas, n: int):
     """
     m = len(lambdas)
     lams = [canonical(l) for l in _check_boundary(lambdas, n, m)]
-    odd_total = sum(size(lams[i]) for i in range(0, m, 2))
-    even_total = sum(size(lams[i]) for i in range(1, m, 2))
-    if odd_total != even_total:
+    cands = cyclic_slot_candidates(lams)
+    if cands is None:
         return
-    from .partitions import minimum, partitions_in_box
-
-    bounds = [minimum(lams[(i - 1) % m], lams[i]) for i in range(m)]
-    cands = [partitions_in_box(b) for b in bounds]
 
     def chains(i, chain):
         if i == m:

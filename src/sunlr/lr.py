@@ -123,43 +123,46 @@ def _lr_tableau_count(lam: IntSeq, mu: IntSeq, nu: IntSeq) -> int:
 
     Cells are filled in reverse-reading-word order (rows top to bottom, each
     row right to left), so the lattice condition is a running-count check.
+    The backtracking keeps its own cursor over the cells, so its depth does
+    not grow with the number of cells.
     """
     if size(lam) + size(mu) != size(nu):
         return 0
     if not contains(lam, nu) or not contains(mu, nu):
         return 0
-    rows = len(nu)
-    if rows == 0:
-        return 1
-    lam_full = lam + (0,) * (rows - len(lam))
-    nvals = len(mu)
-    if nvals == 0:
+    lam_full = lam + (0,) * (len(nu) - len(lam))
+    cells = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, lam_full[r] - 1, -1)]
+    if not cells:
         return 1  # lam == nu forced by size and containment
+    index = {cell: k for k, cell in enumerate(cells)}
+    # the earlier cells bounding each cell: right (value <=) and above (value <)
+    right = [index.get((r, c + 1)) for r, c in cells]
+    above = [index.get((r - 1, c)) for r, c in cells]
+    nvals = len(mu)
     counts = [0] * (nvals + 1)
+    vals = [0] * len(cells)  # 0 while a cell holds no value
     total = 0
-
-    def rec(r, c, cur_row, prev_row):
-        nonlocal total
-        if c < lam_full[r]:  # row r complete
-            if r + 1 == rows:
-                total += 1
-            else:
-                rec(r + 1, nu[r + 1] - 1, {}, cur_row)
-            return
-        hi = cur_row.get(c + 1, nvals)
-        lo = prev_row[c] + 1 if c in prev_row else 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            cur_row[c] = v
-            rec(r, c - 1, cur_row, prev_row)
-            del cur_row[c]
+    k = 0
+    while k >= 0:
+        v = vals[k]
+        if v:
             counts[v] -= 1
-
-    rec(0, nu[0] - 1, {}, {})
+        else:
+            v = 0 if above[k] is None else vals[above[k]]
+        v += 1
+        hi = nvals if right[k] is None else vals[right[k]]
+        while v <= hi and (counts[v] >= mu[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
+            v += 1
+        if v > hi:
+            vals[k] = 0
+            k -= 1
+            continue
+        vals[k] = v
+        counts[v] += 1
+        if k + 1 == len(cells):
+            total += 1
+        else:
+            k += 1
     return total
 
 
@@ -182,49 +185,61 @@ def iter_lr_hives(lam, mu, nu, n: int):
     for j in range(n):
         g[0][j] = nu[j]
 
-    def snapshot():
-        return ([r[:] for r in e], [r[:] for r in f], [r[:] for r in g])
+    # choice points in enumeration order: column j picks e[i][j+1] for i = 0..n-2-j
+    steps = [(j, i) for j in range(n - 1) for i in range(n - 1 - j)]
+    top = [None] * len(steps)  # value tried last at each choice point, None before the first
 
-    def do_column(j):
+    def column_starts(j):
+        """Set f[0][j] from the base and check it against its left neighbour."""
         f[0][j] = g[0][j] - e[0][j]
-        if f[0][j] < 0:
-            return
-        if j > 0 and f[0][j] > f[0][j - 1]:
-            return
-        if j == n - 1:
-            if f[0][j] == mu[j]:
-                yield snapshot()
-            return
-        yield from choose(j, 0)
+        return f[0][j] >= 0 and (j == 0 or f[0][j] <= f[0][j - 1])
 
-    def choose(j, i):
-        """Pick e[i][j+1] in its rhombus interval, propagate g and f."""
-        if i > n - 2 - j:
-            if f[n - 1 - j][j] == mu[j]:
-                yield from do_column(j + 1)
-            return
-        for val in range(e[i + 1][j], e[i][j] + 1):
-            gg = val + f[i][j]
-            # g[i+1][j] >= g[i][j+1]: the right operand is boundary data at
-            # i = 0 and was produced by the previous column otherwise
-            if i == 0 and gg < g[0][j + 1]:
-                continue
-            if j > 0 and g[i + 2][j - 1] < gg:
-                continue
-            ff = gg - e[i + 1][j]
-            if ff < 0 or ff < f[i][j]:
-                continue
-            if j > 0 and ff > f[i + 1][j - 1]:
-                continue
-            e[i][j + 1] = val
-            g[i + 1][j] = gg
-            f[i + 1][j] = ff
-            yield from choose(j, i + 1)
-            e[i][j + 1] = None
-            g[i + 1][j] = None
-            f[i + 1][j] = None
+    def place(j, i, val):
+        """Put e[i][j+1] = val and propagate g and f, if the rhombi allow it."""
+        gg = val + f[i][j]
+        # g[i+1][j] >= g[i][j+1]: the right operand is boundary data at
+        # i = 0 and was produced by the previous column otherwise
+        if i == 0 and gg < g[0][j + 1]:
+            return False
+        if j > 0 and g[i + 2][j - 1] < gg:
+            return False
+        ff = gg - e[i + 1][j]
+        if ff < 0 or ff < f[i][j]:
+            return False
+        if j > 0 and ff > f[i + 1][j - 1]:
+            return False
+        if i == n - 2 - j and ff != mu[j]:  # column j ends on the antidiagonal
+            return False
+        e[i][j + 1] = val
+        g[i + 1][j] = gg
+        f[i + 1][j] = ff
+        return True
 
-    yield from do_column(0)
+    # backtracking with an explicit cursor k over the choice points, so the
+    # depth does not grow with n
+    k = 0
+    while k >= 0:
+        if k == len(steps):
+            if column_starts(n - 1) and f[0][n - 1] == mu[n - 1]:
+                yield ([r[:] for r in e], [r[:] for r in f], [r[:] for r in g])
+            k -= 1
+            continue
+        j, i = steps[k]
+        if top[k] is None:
+            if i == 0 and not column_starts(j):
+                k -= 1
+                continue
+            val = e[i + 1][j]
+        else:
+            val = top[k] + 1
+        while val <= e[i][j] and not place(j, i, val):
+            val += 1
+        if val > e[i][j]:
+            top[k] = None
+            k -= 1
+        else:
+            top[k] = val
+            k += 1
 
 
 def lr_hive_count(lam, mu, nu, n: int) -> int:

@@ -120,6 +120,17 @@ def test_main_lr_cross_check(capsys, monkeypatch):
     assert report["value"] == 1 and report["cross_check"] == {"hive": 1, "tableau": 1}
 
 
+def test_main_lr_cross_check_large_rank(capsys, monkeypatch):
+    code, out = run_cli(
+        capsys,
+        ["lr", "--cross-check"],
+        stdin=doc(kind="lr", n=60, lambdas=[[1], [1], [2]]),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert json.loads(out)["cross_check"] == {"hive": 1, "tableau": 1}
+
+
 def test_main_cone_variant_flag(capsys, monkeypatch):
     code, out = run_cli(
         capsys,

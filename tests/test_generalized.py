@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunlr import generalized
@@ -18,7 +18,7 @@ from sunlr.generalized import (
     stretched_table,
 )
 from sunlr.lr import lr_coefficient
-from sunlr.partitions import iter_partition_tuples, stretch
+from sunlr.partitions import iter_partition_tuples, partitions_in_box, stretch
 
 small_partition = st.lists(st.integers(min_value=0, max_value=2), max_size=2).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -54,11 +54,17 @@ def test_f_sun_budget_guard():
 def test_open_chain_budget_stops_before_any_coefficient(monkeypatch):
     calls = []
 
-    def counting_lr_coefficient(*args):
-        calls.append(args)
-        return lr_coefficient(*args)
+    def counting(fn):
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
 
-    monkeypatch.setattr(generalized, "lr_coefficient", counting_lr_coefficient)
+        return wrapped
+
+    monkeypatch.setattr(generalized, "_lr_tableau_count", counting(generalized._lr_tableau_count))
+    monkeypatch.setattr(generalized, "lr_coefficient", counting(lr_coefficient))
+    with pytest.raises(BudgetExceededError):
+        f_sun([(4, 4, 4)] * 4, 3, budget=3)
     with pytest.raises(BudgetExceededError):
         f1([(6, 5, 4, 3), (6, 5, 4, 3), (5, 5, 4, 4), (6, 4, 3, 2)], 4, budget=1)
     with pytest.raises(BudgetExceededError):
@@ -104,6 +110,76 @@ def test_f2_spec_values():
 @settings(max_examples=120)
 def test_f2_m3_is_single_coefficient(lam, mu, nu):
     assert f2([lam, nu, mu], 2) == lr_coefficient(lam, mu, nu, 2)
+
+
+def _brute_chain_sum(boxes, factor_args):
+    """Sum over every chain in the product of the slot boxes of its LR product.
+
+    A reference for the open chains that shares no walk with ``generalized``:
+    each factor is one ``lr_coefficient`` call.
+    """
+    total = 0
+    for chain in itertools.product(*(partitions_in_box(b) for b in boxes)):
+        term = 1
+        for args in factor_args(chain):
+            term *= lr_coefficient(*args)
+            if not term:
+                break
+        total += term
+    return total
+
+
+def reference_f1(lams, n):
+    """f1 from its definition, l and a indexed from 1 as in the module docstring."""
+    m = len(lams)
+    l = (None, *lams)
+    # a(k) is a lower argument of c^{l(k+2)} for k <= m-4; the last state
+    # a(m-3) gets the wide box its upper role in c^{a(m-3)}_{l(m-1),l(m)}
+    # allows: at most 2n parts, each at most twice the largest entry
+    wide = (2 * max(max(x, default=0) for x in lams),) * (2 * n)
+    boxes = [l[k + 2] for k in range(1, m - 3)] + [wide]
+
+    def factor_args(chain):
+        a = (None, *chain)
+        yield l[1], l[2], a[1], 2 * n
+        for k in range(1, m - 3):
+            yield a[k], a[k + 1], l[k + 2], 2 * n
+        yield l[m - 1], l[m], a[m - 3], 2 * n
+
+    return _brute_chain_sum(boxes, factor_args)
+
+
+def reference_f2(lams, n):
+    """f2 from its definition; a(k) is a lower argument of c^{l(k+1)}."""
+    m = len(lams)
+    l = (None, *lams)
+
+    def factor_args(chain):
+        a = (l[1], *chain, l[m])  # a(0) = l(1) and a(m-2) = l(m) pin the ends
+        for k in range(1, m - 1):
+            yield a[k - 1], a[k], l[k + 1], n
+
+    return _brute_chain_sum([l[k + 1] for k in range(1, m - 2)], factor_args)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_open_chains_match_brute_force_reference(m):
+    for lams in iter_partition_tuples(2, 1, m):
+        assert f1(lams, 2) == reference_f1(lams, 2), lams
+        assert f2(lams, 2) == reference_f2(lams, 2), lams
+
+
+@given(
+    st.integers(min_value=4, max_value=6).flatmap(
+        lambda m: st.lists(small_partition, min_size=m, max_size=m)
+    )
+)
+@example([(1,), (1,), (2, 1), (1,), ()])  # a(2) = (1) is reached from a(1) = (2) and (1, 1)
+@example([(1,), (2, 1), (2, 1), (1,), ()])
+@settings(max_examples=40, deadline=None)
+def test_open_chains_match_brute_force_reference_2x2_box(lams):
+    assert f1(lams, 2) == reference_f1(lams, 2)
+    assert f2(lams, 2) == reference_f2(lams, 2)
 
 
 def test_level1_spec_values():

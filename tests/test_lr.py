@@ -43,6 +43,16 @@ def test_hive_spec_values():
     assert lr_hive_count((1,), (1,), (3,), 3) == 0
 
 
+def test_tableau_count_long_row():
+    # one cell per box: the count must not recurse once per cell
+    assert lr_coefficient((2000,), (2000,), (4000,), 1) == 1
+
+
+def test_hive_count_large_rank():
+    # about n^2/2 interior choices: the enumeration must not nest once per choice
+    assert lr_hive_count((1,), (1,), (2,), 60) == 1
+
+
 def test_hive_rejects_negative_parts():
     with pytest.raises(InvalidInputError):
         lr_hive_count((0, -1), (1, 1), (1, 0), 2)
