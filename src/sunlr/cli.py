@@ -89,12 +89,12 @@ def _sequences(doc, kind, n, rational=False):
     for idx, lam in enumerate(lambdas, start=1):
         if rational:
             try:
-                vals = [Fraction(x) if not isinstance(x, float) else None for x in lam]
+                vals = [Fraction(x) if not isinstance(x, (bool, float)) else None for x in lam]
             except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise InvalidInputError(f"lambda({idx}) has a non-rational entry: {exc}")
             if None in vals:
                 raise InvalidInputError(
-                    f"lambda({idx}) contains a float; use integers or 'p/q' strings for exactness"
+                    f"lambda({idx}) contains a float or a boolean; use integers or 'p/q' strings"
                 )
             out.append(vals)
         else:
@@ -138,7 +138,7 @@ def parse_problem(text: str, expected_kind=None) -> ProblemFile:
         p.m = _int_field(doc, "m", kind)
     else:
         p.lambdas = _sequences(doc, kind, p.n, rational=(kind == "cone"))
-        p.m = doc.get("m", len(p.lambdas))
+        p.m = _int_field(doc, "m", kind) if "m" in doc else len(p.lambdas)
         if p.m != len(p.lambdas):
             raise InvalidInputError(f"m={p.m} but {len(p.lambdas)} sequences given")
 
@@ -214,7 +214,7 @@ def run(p: ProblemFile, cross_check=False, budget=None) -> dict:
             methods["sun_hive_count"] = hive.count_sun_hives(p.lambdas, p.n, budget=budget)
             Q = quiver.build_sun_quiver(p.n, p.m // 2)
             methods["weight_space"] = quiver.dim_si_sun(Q, quiver.weight_sigma1(p.lambdas, p.n))
-            positive = hive.positivity(p.lambdas, p.n, p.m)
+            positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
             report["methods"] = sorted(methods) + ["lp_positivity"]
             report["cross_check"] = {k: v for k, v in sorted(methods.items())}
             report["cross_check"]["lp_positivity"] = positive
@@ -237,7 +237,7 @@ def run(p: ProblemFile, cross_check=False, budget=None) -> dict:
         }
 
     if p.kind == "positivity":
-        positive = hive.positivity(p.lambdas, p.n, p.m)
+        positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
         report = {
             "kind": "positivity",
             "n": p.n,

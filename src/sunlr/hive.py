@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInputError, UnsupportedShapeError
+from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
 from .generalized import cyclic_chain_sum, cyclic_slot_candidates
 from .linprog import feasible
 from .lr import iter_lr_hives, lr_hive_count
@@ -389,9 +389,17 @@ def lp_feasible(system: LinearSystem) -> bool:
     return feasible(system.ineqs, system.eqs, len(system.variables))
 
 
-def positivity(lambdas, n: int, m=None) -> bool:
-    """Whether the chain multiplicity is positive, decided by LP feasibility."""
+def positivity(lambdas, n: int, m=None, budget=None) -> bool:
+    """Whether the chain multiplicity is positive, decided by LP feasibility.
+
+    ``budget`` caps the number of rows (inequalities plus equations) of the
+    system; it is checked before any elimination or pivot.
+    """
     system = build_linear_system(lambdas, n, m)
+    if budget is not None:
+        rows = len(system.ineqs) + len(system.eqs)
+        if rows > budget:
+            raise BudgetExceededError(f"linear program needs {rows} rows, budget is {budget}")
     return lp_feasible(system)
 
 

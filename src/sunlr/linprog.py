@@ -1,10 +1,13 @@
-"""Exact rational linear feasibility.
+"""Exact rational linear feasibility in integer arithmetic.
 
-No floating point anywhere: coefficients are ints or fractions.Fraction.
+No floating point anywhere: inputs are ints or fractions.Fraction, and each
+input row is scaled once, by a positive factor, to coprime integers.  Every
+later step computes in Python integers.
 
 * ``feasible`` decides {Ax <= b, Ex = d}: ``eliminate_equalities``
   substitutes the equalities out, the columns they leave zero in every row
-  are dropped, and ``simplex_feasible`` decides the reduced inequalities.
+  are dropped, one row is kept per direction (the tightest), and
+  ``simplex_feasible`` decides the reduced inequalities.
 * ``simplex_feasible`` decides {Ax <= b, Ex = d} directly by a phase-1
   simplex with Bland's rule (termination guaranteed).
 * ``cone_implied`` decides whether c.x <= 0 follows from a homogeneous
@@ -16,72 +19,88 @@ No floating point anywhere: coefficients are ints or fractions.Fraction.
   is the reference the tests compare the simplex against, sharing no
   arithmetic with it.
 
-The simplex and ``cone_implied`` share one pivot loop, ``_phase1``.
+The simplex and ``cone_implied`` share one pivot loop, ``_phase1``.  Its
+tableau is fraction-free: integer entries over one positive common
+denominator, updated by exact-division pivots (Edmonds 1967, Bareiss 1968),
+so every entry is a minor of the input and the numbers stay small.  The
+pivoting rule is Bland's, as in a rational tableau.
 Rows are dense sequences of length nvars; a constraint is (coeffs, rhs).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidInputError
 
 
 def _normalize_int_row(coeffs, rhs):
-    """Scale a rational row to coprime integers (returns tuple, int)."""
-    denoms = [Fraction(c).denominator for c in coeffs] + [Fraction(rhs).denominator]
-    mult = 1
-    for d in denoms:
-        mult = mult * d // gcd(mult, d)
-    ints = [int(Fraction(c) * mult) for c in coeffs]
-    r = int(Fraction(rhs) * mult)
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    g = gcd(g, abs(r))
+    """Scale a rational row by a positive factor to coprime integers (returns tuple, int)."""
+    row = (*coeffs, rhs)
+    if all(x.denominator == 1 for x in row):
+        ints = [x.numerator for x in row]
+    else:
+        mult = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (mult // x.denominator) for x in row]
+    g = gcd(*ints)
     if g > 1:
-        ints = [c // g for c in ints]
-        r = r // g
-    return tuple(ints), r
+        ints = [x // g for x in ints]
+    return tuple(ints[:-1]), ints[-1]
+
+
+def _substitute(row, pivot_row, j):
+    """``row`` with column j cleared by a positive multiple of itself, in lowest terms.
+
+    The result is |p| row - sgn(p) c pivot_row, where p and c are the column
+    j entries of ``pivot_row`` and ``row``; as the multiplier of ``row`` is
+    positive, an inequality keeps its sense.
+    """
+    c, p = row[j], pivot_row[j]
+    if p < 0:
+        c, p = -c, -p
+    new = [p * x - c * y for x, y in zip(row, pivot_row)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
 
 
 def eliminate_equalities(ineqs, eqs, nvars):
     """Substitute out equality-pinned variables.
 
     Returns (status, new_ineqs) with status False when the equalities alone
-    are inconsistent.  Output inequalities still use the original variable
-    indexing; eliminated columns are identically zero.  Rows carry the rhs
-    as their last entry internally.
+    are inconsistent; the inequalities are then not touched.  Output
+    inequalities are integer rows (positive multiples of the substituted
+    ones) and still use the original variable indexing; eliminated columns
+    are identically zero.  Rows carry the rhs as their last entry
+    internally.
     """
-    eq_rows = [[Fraction(c) for c in a] + [Fraction(b)] for a, b in eqs]
-    ineq_rows = [[Fraction(c) for c in a] + [Fraction(b)] for a, b in ineqs]
-    for idx in range(len(eq_rows)):
-        row = eq_rows[idx]
+    eq_rows = [[*a, b] for a, b in (_normalize_int_row(a, b) for a, b in eqs)]
+    pivots = []
+    for idx, row in enumerate(eq_rows):
+        # the first unit entry, else the last nonzero one
         pivot = None
         for j in range(nvars):
-            if row[j] != 0:
+            if row[j]:
                 pivot = j
                 if abs(row[j]) == 1:
                     break
         if pivot is None:
-            if row[nvars] != 0:
+            if row[nvars]:
                 return False, []
             continue
-        pc = row[pivot]
-        for other in eq_rows[idx + 1 :]:
-            cj = other[pivot]
-            if cj:
-                factor = cj / pc
-                for j in range(nvars + 1):
-                    other[j] -= factor * row[j]
-        for other in ineq_rows:
-            cj = other[pivot]
-            if cj:
-                factor = cj / pc
-                for j in range(nvars + 1):
-                    other[j] -= factor * row[j]
-    return True, [(tuple(r[:nvars]), r[nvars]) for r in ineq_rows]
+        for k in range(idx + 1, len(eq_rows)):
+            if eq_rows[k][pivot]:
+                eq_rows[k] = _substitute(eq_rows[k], row, pivot)
+        pivots.append((row, pivot))
+    reduced = []
+    for a, b in ineqs:
+        ia, ib = _normalize_int_row(a, b)
+        row = [*ia, ib]
+        for pivot_row, pivot in pivots:
+            if row[pivot]:
+                row = _substitute(row, pivot_row, pivot)
+        reduced.append((tuple(row[:nvars]), row[nvars]))
+    return True, reduced
 
 
 _FM_MAX_ROWS = 20000
@@ -136,47 +155,60 @@ def fourier_motzkin_feasible(ineqs, nvars) -> bool:
 def _phase1(rows, basis, ncols) -> bool:
     """Whether the equations ``rows`` have a solution in ncols nonnegative variables.
 
-    Each row is ``[coefficients..., rhs]`` of Fractions.  ``basis[r]`` is a
+    Each row is ``[coefficients..., rhs]`` of ints.  ``basis[r]`` is a
     column that is the unit vector of row r (a slack), or None.  Rows with a
     negative rhs are negated and lose their slack; every row without one
     gets an artificial variable.  Phase 1 then minimizes the sum of the
     artificials, with Bland's rule (smallest entering column, ties in the
     ratio test to the smallest basic column) so that it cannot cycle.
+
+    The tableau is kept fraction-free: the true entries are the integer
+    entries over ``det``, the last pivot entry, which is the absolute value
+    of the basis determinant; every entry is then a minor of the starting
+    tableau, so the division in each update is exact.
     """
     for r, row in enumerate(rows):
         if row[-1] < 0:
             rows[r] = [-x for x in row]
             basis[r] = None
     needs_art = [r for r, bc in enumerate(basis) if bc is None]
-    tableau = [row[:-1] + [Fraction(0)] * len(needs_art) + row[-1:] for row in rows]
+    tableau = [row[:-1] + [0] * len(needs_art) + row[-1:] for row in rows]
     first_art = ncols
     for k, r in enumerate(needs_art):
-        tableau[r][first_art + k] = Fraction(1)
+        tableau[r][first_art + k] = 1
         basis[r] = first_art + k
     ncols += len(needs_art)
+    det = 1
 
     while True:
-        # reduced cost of column j: its sum over the rows with a basic
-        # artificial, less 1 if j is itself artificial
+        # reduced cost of column j, times det: its sum over the rows with a
+        # basic artificial, less det if j is itself artificial
         art_rows = [tableau[r] for r, bc in enumerate(basis) if bc >= first_art]
         enter = next(
-            (j for j in range(ncols) if sum(row[j] for row in art_rows) > (j >= first_art)),
+            (
+                j
+                for j in range(ncols)
+                if sum(row[j] for row in art_rows) > (det if j >= first_art else 0)
+            ),
             None,
         )
         if enter is None:
             return all(row[-1] == 0 for row in art_rows)
         # a positive reduced cost needs a positive entry in some row
         _, _, r = min(
-            (row[-1] / row[enter], basis[rr], rr)
+            (Fraction(row[-1], row[enter]), basis[rr], rr)
             for rr, row in enumerate(tableau)
             if row[enter] > 0
         )
-        piv = tableau[r][enter]
-        pivot_row = tableau[r] = [x / piv for x in tableau[r]]
+        pivot_row = tableau[r]
+        piv = pivot_row[enter]
         for rr, row in enumerate(tableau):
             factor = row[enter]
-            if rr != r and factor:
-                tableau[rr] = [x - factor * p for x, p in zip(row, pivot_row)]
+            # a row without the entering column keeps its entries when the
+            # denominator does not change
+            if rr != r and (factor or piv != det):
+                tableau[rr] = [(piv * x - factor * p) // det for x, p in zip(row, pivot_row)]
+        det = piv
         basis[r] = enter
 
 
@@ -187,13 +219,13 @@ def simplex_feasible(ineqs, eqs, nvars) -> bool:
     which is its starting basic variable when its rhs is nonnegative.
     """
     n_ineq = len(ineqs)
-    rows = [
-        [Fraction(c) for c in a] + [-Fraction(c) for c in a] + [Fraction(0)] * n_ineq + [Fraction(b)]
-        for a, b in [*ineqs, *eqs]
-    ]
+    rows = []
+    for a, b in [*ineqs, *eqs]:
+        ia, ib = _normalize_int_row(a, b)
+        rows.append([*ia, *(-x for x in ia), *[0] * n_ineq, ib])
     basis = [2 * nvars + i for i in range(n_ineq)] + [None] * len(eqs)
     for i in range(n_ineq):
-        rows[i][basis[i]] = Fraction(1)
+        rows[i][basis[i]] = 1
     return _phase1(rows, basis, 2 * nvars + n_ineq)
 
 
@@ -203,7 +235,18 @@ def feasible(ineqs, eqs, nvars) -> bool:
     if not ok:
         return False
     live = [j for j in range(nvars) if any(a[j] for a, _ in reduced)]
-    return simplex_feasible([(tuple(a[j] for j in live), b) for a, b in reduced], [], len(live))
+    # one row per direction a/gcd(a), with the smallest b/gcd(a); a zero
+    # left-hand side is its own direction, left for the simplex to decide
+    tightest = {}
+    for a, b in reduced:
+        a = tuple(a[j] for j in live)
+        g = gcd(*a) or 1
+        key = tuple(x // g for x in a)
+        kept = tightest.get(key)
+        if kept is None or b * kept[2] < kept[1] * g:
+            tightest[key] = (a, b, g)
+    rows = [(a, b) for a, b, _ in tightest.values()]
+    return simplex_feasible(rows, [], len(live))
 
 
 def cone_implied(c, rows, eqs, nvars) -> bool:
@@ -212,12 +255,15 @@ def cone_implied(c, rows, eqs, nvars) -> bool:
     Equivalent, by LP duality for homogeneous systems, to
     c = sum y_r r + sum t_h h with y >= 0, t free; decided as a phase-1
     problem with one equation per coordinate and one variable per row.
+    Each vector is first scaled to integers by a positive factor, which
+    changes neither the cone nor the answer.
     """
     # variables: y_r >= 0, t_h split into two nonnegative halves
-    cols = [tuple(Fraction(x) for x in r) for r in rows]
+    cols = [_normalize_int_row(r, 0)[0] for r in rows]
     for h in eqs:
-        h = tuple(Fraction(x) for x in h)
+        h = _normalize_int_row(h, 0)[0]
         cols.append(h)
         cols.append(tuple(-x for x in h))
-    eq_rows = [[col[k] for col in cols] + [Fraction(c[k])] for k in range(nvars)]
+    target = _normalize_int_row(c, 0)[0]
+    eq_rows = [[col[k] for col in cols] + [target[k]] for k in range(nvars)]
     return _phase1(eq_rows, [None] * nvars, len(cols))

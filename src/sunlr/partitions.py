@@ -103,7 +103,9 @@ def stretch(seq, r: int) -> IntSeq:
 
 def check_subset(subset, n: int) -> IntSeq:
     """Validate a subset of {1..n}; returns the sorted tuple."""
-    elems = tuple(sorted(set(int(z) for z in subset)))
+    if not all(isinstance(z, int) and not isinstance(z, bool) for z in subset):
+        raise InvalidInputError(f"subset {list(subset)} must contain integers only")
+    elems = tuple(sorted(set(subset)))
     if len(elems) != len(tuple(subset)):
         raise InvalidInputError(f"subset {list(subset)} has repeated elements")
     if elems and (elems[0] < 1 or elems[-1] > n):

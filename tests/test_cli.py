@@ -108,6 +108,41 @@ def test_main_positivity_example(capsys, monkeypatch):
     assert json.loads(out)["positive"] is False
 
 
+def test_main_positivity_budget_stops_before_elimination(capsys, monkeypatch):
+    from sunlr import linprog
+
+    def refuse(*args):
+        raise AssertionError("the LP ran despite the budget")
+
+    monkeypatch.setattr(linprog, "eliminate_equalities", refuse)
+    monkeypatch.setattr(linprog, "simplex_feasible", refuse)
+    lams = [[1]] * 4
+    for argv, payload in [
+        (["positivity", "--budget", "1"], doc(kind="positivity", n=4, lambdas=lams)),
+        (["f", "--cross-check", "--budget", "100"], doc(kind="f_sun", n=3, lambdas=lams)),
+    ]:
+        code, out = run_cli(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
+        assert code == 3, argv
+        assert json.loads(out)["message"].startswith("linear program needs"), argv
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["factorize"], doc(kind="factorize", n=2, lambdas=[[1]] * 4, subsets=[[1], [1, "a"], [], []])),
+        (["factorize"], doc(kind="factorize", n=2, lambdas=[[1]] * 4, subsets=[[1], [[1]], [], []])),
+        (["factorize"], doc(kind="factorize", n=2, lambdas=[[1]] * 4, subsets=[[1], [1.5], [], []])),
+        (["f", "--cross-check"], doc(kind="f_sun", n=2, m=4.0, lambdas=[[1]] * 4)),
+        (["cone"], doc(kind="cone", n=1, lambdas=[[True], [1], [1], [1]])),
+    ],
+    ids=["subset-string", "subset-list", "subset-float", "float-m", "bool-in-cone"],
+)
+def test_main_rejects_non_integer_fields(capsys, monkeypatch, argv, payload):
+    code, out = run_cli(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["error"] == "invalid-input"
+
+
 def test_main_lr_cross_check(capsys, monkeypatch):
     code, out = run_cli(
         capsys,

@@ -19,7 +19,7 @@ from sunlr.hive import (
     validate_sun_hive,
 )
 from sunlr.linprog import eliminate_equalities, fourier_motzkin_feasible, simplex_feasible
-from sunlr.partitions import stretch
+from sunlr.partitions import iter_partition_tuples, stretch
 
 
 def hand_hive_m4_n1(chain=(0, 1, 0, 1), tops=(1, 1, 1, 1)):
@@ -159,8 +159,10 @@ def test_positivity_examples():
 
 
 def test_positivity_n3_m4_matches_chain_sum():
-    for lams in [((), (), (), ()), ((1,), (1,), (), ()), ((2,), (1, 1), (), ())]:
-        assert positivity(lams, 3, 4) == (f_sun(lams, 3) > 0), lams
+    cases = [(lams, 3) for lams in iter_partition_tuples(3, 1, 4)]
+    cases += [(((2,), (1, 1), (), ()), 3), (((2, 1),) * 4, 3), (((1,),) * 4, 4)]
+    for lams, n in cases:
+        assert positivity(lams, n, 4) == (f_sun(lams, n) > 0), (lams, n)
 
 
 def test_positivity_stretch_consistency():

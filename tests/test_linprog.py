@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -63,6 +64,20 @@ def test_backends_agree(ineqs, eqs):
     checked_feasible(ineqs, eqs, 3)
 
 
+wide_rows = st.tuples(
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3).map(tuple),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=5)),
+)
+
+
+@given(st.lists(wide_rows, max_size=6), st.lists(wide_rows, max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_backends_agree_wide_coefficients(ineqs, eqs):
+    # pivots other than +-1 take the fraction-free tableau's common
+    # denominator away from 1, so its exact divisions are exercised
+    checked_feasible(ineqs, eqs, 3)
+
+
 def test_backends_agree_randomized_larger():
     random.seed(2024)
     for _ in range(120):
@@ -99,6 +114,35 @@ def test_cone_implied_matches_primal_feasibility():
             nv,
         )
         assert cone_implied(c, gens, eqs, nv) == primal
+
+
+def test_cone_implied_is_scale_invariant():
+    # Fraction vectors against integer multiples of them: the cone, and so
+    # the answer, does not change when a vector is scaled by a positive
+    # factor (an equality by any nonzero one)
+    def rational(nv):
+        return tuple(Fraction(random.randint(-4, 4), random.randint(1, 5)) for _ in range(nv))
+
+    def integer_multiple(v, sign=1):
+        mult = sign * random.randint(1, 9) * math.lcm(*(x.denominator for x in v))
+        return tuple(int(x * mult) for x in v)
+
+    random.seed(11)
+    for _ in range(80):
+        nv = random.randint(1, 4)
+        gens = [rational(nv) for _ in range(random.randint(0, 5))]
+        eqs = [rational(nv) for _ in range(random.randint(0, 2))]
+        c = rational(nv)
+        value = cone_implied(c, gens, eqs, nv)
+        scaled_gens = [integer_multiple(r) for r in gens]
+        scaled_eqs = [integer_multiple(h, random.choice((-1, 1))) for h in eqs]
+        assert cone_implied(integer_multiple(c), scaled_gens, scaled_eqs, nv) == value
+        primal = not simplex_feasible(
+            [(r, 0) for r in gens] + [(tuple(-x for x in c), -1)],
+            [(h, 0) for h in eqs],
+            nv,
+        )
+        assert value == primal
 
 
 def test_fm_drops_unbounded_directions():
