@@ -393,7 +393,8 @@ def positivity(lambdas, n: int, m=None, budget=None) -> bool:
     """Whether the chain multiplicity is positive, decided by LP feasibility.
 
     ``budget`` caps the number of rows (inequalities plus equations) of the
-    system; it is checked before any elimination or pivot.
+    system, which depends only on n and m; it is checked before any
+    elimination or pivot.
     """
     system = build_linear_system(lambdas, n, m)
     if budget is not None:

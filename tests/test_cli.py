@@ -117,13 +117,27 @@ def test_main_positivity_budget_stops_before_elimination(capsys, monkeypatch):
     monkeypatch.setattr(linprog, "eliminate_equalities", refuse)
     monkeypatch.setattr(linprog, "simplex_feasible", refuse)
     lams = [[1]] * 4
+    # at n = 8 the chain, hive and weight-space routes fit in 1000 states, but
+    # the LP has 1300 rows and would take seconds
     for argv, payload in [
         (["positivity", "--budget", "1"], doc(kind="positivity", n=4, lambdas=lams)),
-        (["f", "--cross-check", "--budget", "100"], doc(kind="f_sun", n=3, lambdas=lams)),
+        (["f", "--cross-check", "--budget", "1000"], doc(kind="f_sun", n=8, lambdas=lams)),
     ]:
         code, out = run_cli(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
         assert code == 3, argv
         assert json.loads(out)["message"].startswith("linear program needs"), argv
+
+
+def test_main_positivity_budget_counts_rows(capsys, monkeypatch):
+    # (1)^4 at n = 2 gives 64 rows: a budget of 64 admits the LP, 63 refuses it
+    payload = doc(kind="f_sun", n=2, lambdas=[[1]] * 4)
+    argv = ["f", "--cross-check", "--budget"]
+    code, out = run_cli(capsys, argv + ["64"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["cross_check"]["lp_positivity"] is True
+    code, out = run_cli(capsys, argv + ["63"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 3
+    assert json.loads(out)["message"] == "linear program needs 64 rows, budget is 63"
 
 
 @pytest.mark.parametrize(
