@@ -3,7 +3,9 @@
 
 For every tuple of partitions in the requested box, compares the chain
 sum, the glued-hive count, the quiver weight-space dimension, and LP
-positivity.  Any disagreement is a bug and aborts with the witness.
+positivity twice: from the per-shape reduced system (``positivity``) and
+from the full system built for the one boundary (``lp_feasible``).  Any
+disagreement is a bug and aborts with the witness.
 
 Usage: python scripts/oracle_sweep.py [n] [m] [max_entry]
 """
@@ -15,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sunlr.generalized import f_sun  # noqa: E402
-from sunlr.hive import count_sun_hives, positivity  # noqa: E402
+from sunlr.hive import build_linear_system, count_sun_hives, lp_feasible, positivity  # noqa: E402
 from sunlr.partitions import iter_partition_tuples  # noqa: E402
 from sunlr.quiver import build_sun_quiver, dim_si_sun, weight_sigma1  # noqa: E402
 
@@ -28,19 +30,26 @@ def main():
     started = time.time()
     checked = 0
     nonzero = 0
+    lp_cpu = [0.0, 0.0]  # CPU seconds in positivity and in the uncached reference
     for lams in iter_partition_tuples(n, max_entry, m):
         value = f_sun(lams, n)
         hives = count_sun_hives(lams, n)
         weight_space = dim_si_sun(Q, weight_sigma1(lams, n))
+        t0 = time.process_time()
         lp = positivity(lams, n, m)
-        if not (value == hives == weight_space and lp == (value > 0)):
+        t1 = time.process_time()
+        lp_full = lp_feasible(build_linear_system(lams, n, m))
+        lp_cpu[0] += t1 - t0
+        lp_cpu[1] += time.process_time() - t1
+        if not (value == hives == weight_space and lp == lp_full == (value > 0)):
             print(f"DISAGREEMENT at {lams}: chain={value} hives={hives} "
-                  f"weight={weight_space} lp={lp}")
+                  f"weight={weight_space} lp={lp} lp_full={lp_full}")
             return 1
         checked += 1
         nonzero += value > 0
     print(f"n={n} m={m} entries<={max_entry}: {checked} tuples agree "
-          f"({nonzero} nonzero) in {time.time()-started:.1f}s")
+          f"({nonzero} nonzero) in {time.time()-started:.1f}s; LP CPU {lp_cpu[0]:.2f}s cached, "
+          f"{lp_cpu[1]:.2f}s uncached")
     return 0
 
 

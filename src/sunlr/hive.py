@@ -27,23 +27,33 @@ shared sides weakly decreasing nonnegative, i.e. partitions, so
 computed here by decomposing along shared-side labelings: each chain of
 side partitions contributes the product of per-array hive counts.
 
-``build_linear_system`` emits the whole constraint set as one exact system
-A x <= b with A entries in {-1, 0, 1} and b homogeneous linear forms in the
-boundary entries; shared sides are substituted out via the flip identities.
-Real feasibility of that system decides positivity of the chain sum: the
-vertices of a nonempty polytope are rational (Cramer), a rational point
-scales to an integral hive for a stretched boundary, and the zero/nonzero
-status of the chain sum is stretch invariant.
+``_hive_rows`` writes the whole constraint set of a shape (n, m) once, as
+A x <= b, E x = d with A and E entries in {-1, 0, 1} and every rhs a
+homogeneous integer linear form in the boundary entries; shared sides are
+substituted out via the flip identities.  ``build_linear_system`` evaluates
+the forms at one boundary and is the uncached reference.  Real feasibility
+of that system decides positivity of the chain sum: the vertices of a
+nonempty polytope are rational (Cramer), a rational point scales to an
+integral hive for a stretched boundary, and the zero/nonzero status of the
+chain sum is stretch invariant.
+
+Because only the rhs depends on the boundary, ``positivity`` eliminates the
+equalities once per shape with the rhs forms carried along
+(``reduced_system``, cached for a few shapes) and per call only evaluates
+the reduced rows and the leftover boundary equalities, then hands them to
+``linprog.feasible``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
 from .generalized import cyclic_chain_sum, cyclic_slot_candidates
-from .linprog import feasible
+from .linprog import _echelon, _reduce, feasible
 from .lr import iter_lr_hives, lr_hive_count
 from .partitions import canonical, check_partition, is_partition, pad, size
 
@@ -283,105 +293,118 @@ class LinearSystem:
         return "\n".join(lines)
 
 
-def build_linear_system(lambdas, n: int, m=None) -> LinearSystem:
-    """All sun hive constraints over the non-external edges.
+def system_rows(n: int, m: int) -> int:
+    """Rows (inequalities plus equations) of ``build_linear_system`` for the shape (n, m).
 
-    Shared sides are substituted out through the flip identities, so the
-    variables are each array's f edges plus its e edges off the left border
-    and g edges off the base.  External base edges enter the right-hand
-    sides as boundary constants.
+    Per array: n(n+1)/2 triangles and one border equation, and at each of
+    the n(n-1)/2 interior edges one equation and six rhombus inequalities;
+    then one nonnegativity row per variable (n(n+1)/2 + n(n-1) per array).
     """
-    m = len(lambdas) if m is None else m
-    full = _check_boundary(lambdas, n, m)
+    tri, inner = n * (n + 1) // 2, n * (n - 1) // 2
+    return m * (2 * tri + 9 * inner + 1)
 
+
+def _hive_rows(n: int, m: int):
+    """The sun hive constraints of the shape (n, m), right-hand sides kept symbolic.
+
+    Returns (names, ineqs, eqs).  Each row is one integer list: the
+    coefficients over ``names``, then the m*n coefficients of its rhs as a
+    linear form in the padded boundary, flattened flag-major.  Shared sides
+    are substituted out through the flip identities, so the variables are
+    each array's f edges plus its e edges off the left border and g edges
+    off the base; the base edges g^r[0][j] are the boundary coordinates.
+    """
     names = []
     index = {}
-
-    def var(name):
-        if name not in index:
-            index[name] = len(names)
-            names.append(name)
-        return index[name]
-
-    for r in range(1, m + 1):
+    for r in range(m):
         for i in range(n):
             for j in range(n - i):
-                var(f"f{r}[{i},{j}]")
-    for r in range(1, m + 1):
+                index["f", r, i, j] = len(names)
+                names.append(f"f{r + 1}[{i},{j}]")
+    for r in range(m):
         for i in range(n):
             for j in range(1, n - i):
-                var(f"e{r}[{i},{j}]")
+                index["e", r, i, j] = len(names)
+                names.append(f"e{r + 1}[{i},{j}]")
         for i in range(1, n):
             for j in range(n - i):
-                var(f"g{r}[{i},{j}]")
-
+                index["g", r, i, j] = len(names)
+                names.append(f"g{r + 1}[{i},{j}]")
     nvars = len(names)
 
-    def e_ref(r, i, j):
-        """(var index, constant) pair for e^r[i][j]; shared sides resolve."""
-        if j == 0:
-            prev = r - 1 if r > 1 else m
-            return index[f"f{prev}[{n - 1 - i},{i}]"], 0
-        return index[f"e{r}[{i},{j}]"], 0
+    def e(r, i, j):
+        # a left border edge is the previous array's right border edge
+        return index["f", (r - 1) % m, n - 1 - i, i] if j == 0 else index["e", r, i, j]
 
-    def f_ref(r, i, j):
-        return index[f"f{r}[{i},{j}]"], 0
+    def f(r, i, j):
+        return index["f", r, i, j]
 
-    def g_ref(r, i, j):
-        if i == 0:
-            return None, full[r - 1][j]
-        return index[f"g{r}[{i},{j}]"], 0
+    def g(r, i, j):
+        # a base edge is a boundary coordinate, stored past the variables
+        return nvars + r * n + j if i == 0 else index["g", r, i, j]
 
     ineqs = []
     eqs = []
 
-    def add(kind, plus, minus):
-        """Row sum(plus) - sum(minus) (<= or ==) 0, refs as (var, const)."""
-        coeffs = [0] * nvars
-        rhs = Fraction(0)
-        for vi, const in plus:
-            if vi is None:
-                rhs -= const
-            else:
-                coeffs[vi] += 1
-        for vi, const in minus:
-            if vi is None:
-                rhs += const
-            else:
-                coeffs[vi] -= 1
-        row = (tuple(coeffs), rhs)
-        if kind == "eq":
-            eqs.append(row)
-        else:
-            ineqs.append(row)
+    def row(plus, minus):
+        """sum(plus) - sum(minus) (<= or ==) 0, boundary terms moved to the rhs."""
+        out = [0] * (nvars + m * n)
+        for k in plus:
+            out[k] += 1 if k < nvars else -1
+        for k in minus:
+            out[k] -= 1 if k < nvars else -1
+        return out
 
-    for r in range(1, m + 1):
+    for r in range(m):
         for i in range(n):
             for j in range(n - i):
                 # triangle: e + f = g
-                add("eq", [e_ref(r, i, j), f_ref(r, i, j)], [g_ref(r, i, j)])
+                eqs.append(row([e(r, i, j), f(r, i, j)], [g(r, i, j)]))
         for i in range(n):
             for j in range(n - i - 1):
-                add("eq", [e_ref(r, i, j + 1), f_ref(r, i, j)], [g_ref(r, i + 1, j)])
+                eqs.append(row([e(r, i, j + 1), f(r, i, j)], [g(r, i + 1, j)]))
                 # rhombus inequalities, written as (smaller) - (larger) <= 0
-                add("le", [e_ref(r, i, j + 1)], [e_ref(r, i, j)])
-                add("le", [g_ref(r, i + 1, j)], [g_ref(r, i, j)])
-                add("le", [f_ref(r, i, j)], [f_ref(r, i + 1, j)])
-                add("le", [e_ref(r, i + 1, j)], [e_ref(r, i, j + 1)])
-                add("le", [f_ref(r, i, j + 1)], [f_ref(r, i, j)])
-                add("le", [g_ref(r, i, j + 1)], [g_ref(r, i + 1, j)])
+                ineqs.append(row([e(r, i, j + 1)], [e(r, i, j)]))
+                ineqs.append(row([g(r, i + 1, j)], [g(r, i, j)]))
+                ineqs.append(row([f(r, i, j)], [f(r, i + 1, j)]))
+                ineqs.append(row([e(r, i + 1, j)], [e(r, i, j + 1)]))
+                ineqs.append(row([f(r, i, j + 1)], [f(r, i, j)]))
+                ineqs.append(row([g(r, i, j + 1)], [g(r, i + 1, j)]))
         # border condition: left side + right side = base
-        add(
-            "eq",
-            [e_ref(r, i, 0) for i in range(n)] + [f_ref(r, n - 1 - j, j) for j in range(n)],
-            [g_ref(r, 0, j) for j in range(n)],
+        eqs.append(
+            row(
+                [e(r, i, 0) for i in range(n)] + [f(r, n - 1 - j, j) for j in range(n)],
+                [g(r, 0, j) for j in range(n)],
+            )
         )
-    for vi in range(nvars):
-        coeffs = [0] * nvars
-        coeffs[vi] = -1
-        ineqs.append((tuple(coeffs), Fraction(0)))
+    for k in range(nvars):
+        ineqs.append(row([], [k]))
+    return tuple(names), ineqs, eqs
 
-    return LinearSystem(tuple(names), ineqs, eqs, n, m)
+
+def _boundary_vector(full):
+    return [x for lam in full for x in lam]
+
+
+def _evaluate(form, beta) -> int:
+    return sum(map(mul, form, beta))
+
+
+def build_linear_system(lambdas, n: int, m=None) -> LinearSystem:
+    """All sun hive constraints over the non-external edges, at one boundary.
+
+    The rows of ``_hive_rows`` with their rhs forms evaluated; external
+    base edges enter the right-hand sides as boundary constants.
+    """
+    m = len(lambdas) if m is None else m
+    beta = _boundary_vector(_check_boundary(lambdas, n, m))
+    names, ineqs, eqs = _hive_rows(n, m)
+    k = len(names)
+
+    def evaluated(rows):
+        return [(tuple(row[:k]), Fraction(_evaluate(row[k:], beta))) for row in rows]
+
+    return LinearSystem(names, evaluated(ineqs), evaluated(eqs), n, m)
 
 
 def lp_feasible(system: LinearSystem) -> bool:
@@ -389,19 +412,69 @@ def lp_feasible(system: LinearSystem) -> bool:
     return feasible(system.ineqs, system.eqs, len(system.variables))
 
 
+@dataclass(frozen=True)
+class ReducedSystem:
+    """The hive system of one shape (n, m) with its equations eliminated, rhs symbolic.
+
+    ``live`` holds the indices (into ``_hive_rows``' variables) of the
+    columns some inequality still uses.  ``ineqs`` are the distinct rows
+    (coefficients over ``live``, rhs form) and ``eqs`` the rhs forms of the
+    boundary equalities left over, each reading 0 = form . boundary.
+    """
+
+    live: tuple
+    ineqs: tuple
+    eqs: tuple
+
+
+@lru_cache(maxsize=8)
+def reduced_system(n: int, m: int) -> ReducedSystem:
+    """``_hive_rows(n, m)`` with its equations substituted into its inequalities.
+
+    Only variable columns are pivoted, so the rhs forms are carried along
+    by the same fraction-free steps that ``linprog.eliminate_equalities``
+    applies to numbers; every reduced row is a positive multiple of a
+    combination of input rows, valid at every boundary.  Cached per shape.
+    """
+    names, ineqs, eqs = _hive_rows(n, m)
+    k = len(names)
+    pivots, residual = _echelon(eqs, k)
+    rows = {}
+    for row in ineqs:
+        row = _reduce(row, pivots)
+        if any(row):
+            rows[tuple(row)] = None
+    live = tuple(j for j in range(k) if any(row[j] for row in rows))
+    # a leftover equation and its negative are one condition
+    balances = {}
+    for row in residual:
+        form = tuple(row[k:])
+        if next(x for x in form if x) < 0:
+            form = tuple(-x for x in form)
+        balances[form] = None
+    return ReducedSystem(live, tuple((tuple(row[j] for j in live), row[k:]) for row in rows), tuple(balances))
+
+
 def positivity(lambdas, n: int, m=None, budget=None) -> bool:
     """Whether the chain multiplicity is positive, decided by LP feasibility.
 
-    ``budget`` caps the number of rows (inequalities plus equations) of the
-    system, which depends only on n and m; it is checked before any
-    elimination or pivot.
+    The system is ``reduced_system(n, m)`` evaluated at the boundary; the
+    leftover boundary equalities enter as equations with no variables, so
+    an unbalanced boundary is refused by the equality elimination.
+    ``budget`` caps ``system_rows(n, m)``, the rows of the unreduced system,
+    and is checked before any system is built, eliminated or pivoted.
     """
-    system = build_linear_system(lambdas, n, m)
+    m = len(lambdas) if m is None else m
+    beta = _boundary_vector(_check_boundary(lambdas, n, m))
     if budget is not None:
-        rows = len(system.ineqs) + len(system.eqs)
+        rows = system_rows(n, m)
         if rows > budget:
             raise BudgetExceededError(f"linear program needs {rows} rows, budget is {budget}")
-    return lp_feasible(system)
+    reduced = reduced_system(n, m)
+    nvars = len(reduced.live)
+    ineqs = [(a, _evaluate(form, beta)) for a, form in reduced.ineqs]
+    eqs = [((0,) * nvars, _evaluate(form, beta)) for form in reduced.eqs]
+    return feasible(ineqs, eqs, nvars)
 
 
 def cross_array_gaps(h: SunHive) -> list[dict]:

@@ -55,7 +55,7 @@ from .partitions import (
     check_subset,
     conjugate,
     is_partition,
-    lambda_of_set,
+    lambda_of_sorted_set,
     pad,
     size,
     stretch,
@@ -152,7 +152,8 @@ def underline_lambda(subsets, n: int) -> tuple[IntSeq, ...]:
     for i in range(1, m + 1):
         I = st.subsets[i - 1]
         slots = n - len(I)
-        conj = conjugate(lambda_of_set(I, n))
+        # SubsetTuple validated I on construction
+        conj = conjugate(lambda_of_sorted_set(sorted(I)))
         padded = conj + (0,) * (slots - len(conj))
         if i % 2 == 1:
             prev = st.subsets[(i - 2) % m]

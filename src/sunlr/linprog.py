@@ -8,6 +8,8 @@ later step computes in Python integers.
   substitutes the equalities out, the columns they leave zero in every row
   are dropped, one row is kept per direction (the tightest), and
   ``simplex_feasible`` decides the reduced inequalities.
+* ``_echelon`` is that elimination's pivot loop over any number of
+  trailing rhs columns; ``hive`` runs it once per shape on rhs forms.
 * ``simplex_feasible`` decides {Ax <= b, Ex = d} directly by a phase-1
   simplex with Bland's rule (termination guaranteed).
 * ``cone_implied`` decides whether c.x <= 0 follows from a homogeneous
@@ -64,6 +66,44 @@ def _substitute(row, pivot_row, j):
     return [x // g for x in new] if g > 1 else new
 
 
+def _echelon(eq_rows, ncols):
+    """Reduce integer equality rows among themselves, pivoting in the first ncols columns.
+
+    ``eq_rows`` is reduced in place.  Returns (pivots, residual): ``pivots``
+    lists (row, column) in the order taken, and ``residual`` the rows that
+    are zero in the first ncols columns but not beyond them.  For a numeric
+    system (one trailing rhs entry) a residual row is a contradiction; for
+    a symbolic one (rhs forms) it is a condition on the parameters.
+    """
+    pivots = []
+    residual = []
+    for idx, row in enumerate(eq_rows):
+        # the first unit entry, else the last nonzero one
+        pivot = None
+        for j in range(ncols):
+            if row[j]:
+                pivot = j
+                if abs(row[j]) == 1:
+                    break
+        if pivot is None:
+            if any(row[ncols:]):
+                residual.append(row)
+            continue
+        for k in range(idx + 1, len(eq_rows)):
+            if eq_rows[k][pivot]:
+                eq_rows[k] = _substitute(eq_rows[k], row, pivot)
+        pivots.append((row, pivot))
+    return pivots, residual
+
+
+def _reduce(row, pivots):
+    """``row`` with every pivot column cleared, a positive multiple of the input."""
+    for pivot_row, pivot in pivots:
+        if row[pivot]:
+            row = _substitute(row, pivot_row, pivot)
+    return row
+
+
 def eliminate_equalities(ineqs, eqs, nvars):
     """Substitute out equality-pinned variables.
 
@@ -74,31 +114,13 @@ def eliminate_equalities(ineqs, eqs, nvars):
     are identically zero.  Rows carry the rhs as their last entry
     internally.
     """
-    eq_rows = [[*a, b] for a, b in (_normalize_int_row(a, b) for a, b in eqs)]
-    pivots = []
-    for idx, row in enumerate(eq_rows):
-        # the first unit entry, else the last nonzero one
-        pivot = None
-        for j in range(nvars):
-            if row[j]:
-                pivot = j
-                if abs(row[j]) == 1:
-                    break
-        if pivot is None:
-            if row[nvars]:
-                return False, []
-            continue
-        for k in range(idx + 1, len(eq_rows)):
-            if eq_rows[k][pivot]:
-                eq_rows[k] = _substitute(eq_rows[k], row, pivot)
-        pivots.append((row, pivot))
+    pivots, residual = _echelon([[*a, b] for a, b in (_normalize_int_row(a, b) for a, b in eqs)], nvars)
+    if residual:
+        return False, []
     reduced = []
     for a, b in ineqs:
         ia, ib = _normalize_int_row(a, b)
-        row = [*ia, ib]
-        for pivot_row, pivot in pivots:
-            if row[pivot]:
-                row = _substitute(row, pivot_row, pivot)
+        row = _reduce([*ia, ib], pivots)
         reduced.append((tuple(row[:nvars]), row[nvars]))
     return True, reduced
 

@@ -118,7 +118,11 @@ def lambda_of_set(subset, n: int) -> IntSeq:
 
     Has r parts, each between 0 and n - r.
     """
-    elems = check_subset(subset, n)
+    return lambda_of_sorted_set(check_subset(subset, n))
+
+
+def lambda_of_sorted_set(elems) -> IntSeq:
+    """``lambda_of_set`` of a subset that is already validated and sorted; no checks."""
     r = len(elems)
     return tuple(elems[r - 1 - k] - (r - k) for k in range(r))
 

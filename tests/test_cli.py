@@ -128,6 +128,17 @@ def test_main_positivity_budget_stops_before_elimination(capsys, monkeypatch):
         assert json.loads(out)["message"].startswith("linear program needs"), argv
 
 
+def test_main_positivity_budget_refuses_before_the_system_is_built(capsys, monkeypatch):
+    from sunlr import hive
+
+    hive.reduced_system.cache_clear()
+    payload = doc(kind="positivity", n=4, m=4, lambdas=[[1]] * 4)
+    code, out = run_cli(capsys, ["positivity", "--budget", "1"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 3
+    assert json.loads(out)["message"] == "linear program needs 300 rows, budget is 1"
+    assert hive.reduced_system.cache_info().currsize == 0
+
+
 def test_main_positivity_budget_counts_rows(capsys, monkeypatch):
     # (1)^4 at n = 2 gives 64 rows: a budget of 64 admits the LP, 63 refuses it
     payload = doc(kind="f_sun", n=2, lambdas=[[1]] * 4)

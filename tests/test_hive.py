@@ -1,8 +1,13 @@
 import random
+import re
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sunlr import hive
 from sunlr.errors import InvalidInputError, UnsupportedShapeError
 from sunlr.generalized import f_sun
 from sunlr.hive import (
@@ -14,8 +19,10 @@ from sunlr.hive import (
     iter_sun_hives,
     lp_feasible,
     positivity,
+    reduced_system,
     sun_hive_from_json,
     sun_hive_to_json,
+    system_rows,
     validate_sun_hive,
 )
 from sunlr.linprog import eliminate_equalities, fourier_motzkin_feasible, simplex_feasible
@@ -205,3 +212,126 @@ def test_count_larger_samples_match_all_oracles():
         Q = build_sun_quiver(n, len(lams) // 2)
         assert dim_si_sun(Q, weight_sigma1(lams, n)) == value, (lams, n)
         assert positivity(lams, n) == (value > 0), (lams, n)
+
+
+def boundaries(n, m, top=2):
+    part = st.lists(st.integers(0, top), min_size=n, max_size=n).map(lambda xs: tuple(sorted(xs, reverse=True)))
+    return st.lists(part, min_size=m, max_size=m)
+
+
+# (3, 6) only with entries <= 1: its chain sums grow fast with the entries
+shapes = st.tuples(st.integers(1, 3), st.sampled_from([4, 6])).filter(lambda s: s != (3, 6))
+queries = st.one_of(
+    shapes.flatmap(lambda s: st.tuples(boundaries(*s), st.just(s[0]), st.just(s[1]))),
+    st.tuples(boundaries(3, 6, top=1), st.just(3), st.just(6)),
+)
+
+
+@given(queries)
+@settings(max_examples=60, deadline=None)
+def test_positivity_matches_uncached_lp_and_chain_sum(query):
+    lams, n, m = query
+    expected = f_sun(lams, n) > 0
+    assert lp_feasible(build_linear_system(lams, n, m)) == expected
+    assert positivity(lams, n, m) == expected
+
+
+@given(st.lists(queries, min_size=2, max_size=6), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_positivity_does_not_depend_on_the_cache(batch, rng):
+    cold = []
+    for lams, n, m in batch:
+        reduced_system.cache_clear()
+        cold.append(positivity(lams, n, m))
+    warm = [positivity(lams, n, m) for lams, n, m in batch]
+    order = list(range(len(batch)))
+    rng.shuffle(order)
+    interleaved = {k: positivity(*batch[k]) for k in order}
+    assert cold == warm == [interleaved[k] for k in range(len(batch))]
+
+
+def test_positivity_runs_one_elimination_and_at_most_one_simplex(monkeypatch):
+    from sunlr import linprog
+
+    calls = []
+    for name in ("eliminate_equalities", "simplex_feasible"):
+        fn = getattr(linprog, name)
+        monkeypatch.setattr(linprog, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    reduced_system.cache_clear()
+    # balanced and unbalanced, cold and warm
+    for lams, n in [([(1,)] * 4, 3), ([(2, 1), (1,), (), ()], 3), ([(1,)] * 4, 3), ([(1, 0)] * 6, 2)]:
+        calls.clear()
+        positivity(lams, n)
+        assert calls.count("eliminate_equalities") == 1, lams
+        assert calls.count("simplex_feasible") <= 1, lams
+
+
+def test_reduced_system_cache_is_bounded():
+    reduced_system.cache_clear()
+    for m in range(4, 24, 2):  # ten shapes at n = 1
+        assert positivity([(1,)] * m, 1) and f_sun([(1,)] * m, 1) > 0
+        assert not positivity([(2,)] + [(1,)] * (m - 1), 1)
+    info = reduced_system.cache_info()
+    assert info.currsize == info.maxsize < 10
+
+
+def test_system_rows_counts_the_built_system():
+    for n, m in [(1, 4), (2, 4), (2, 6), (3, 4), (4, 4), (3, 8)]:
+        system = build_linear_system([()] * m, n, m)
+        assert system_rows(n, m) == len(system.ineqs) + len(system.eqs), (n, m)
+
+
+def test_reduced_system_sizes():
+    # the odd/even balance is the only boundary equation left at m = 4
+    for n, live, rows in [(2, 5, 35), (3, 13, 87)]:
+        reduced = reduced_system(n, 4)
+        assert (len(reduced.live), len(reduced.ineqs)) == (live, rows)
+        assert reduced.eqs == (tuple(x for r in range(4) for x in [(-1) ** r] * n),)
+
+
+@given(shapes.flatmap(lambda s: st.tuples(boundaries(*s, top=3), st.just(s[0]), st.just(s[1]))))
+@settings(max_examples=40, deadline=None)
+def test_rhs_forms_reproduce_the_built_system(query):
+    lams, n, m = query
+    system = build_linear_system(lams, n, m)
+    names, ineqs, eqs = hive._hive_rows(n, m)
+    beta = [x for lam in lams for x in lam]
+    k = len(names)
+    assert names == system.variables
+    for rows, built in ((ineqs, system.ineqs), (eqs, system.eqs)):
+        assert [(tuple(row[:k]), hive._evaluate(row[k:], beta)) for row in rows] == built
+
+
+def hive_point(h, names):
+    """The values a sun hive gives the variables of its linear system."""
+    point = []
+    for name in names:
+        kind, r, i, j = re.fullmatch(r"([efg])(\d+)\[(\d+),(\d+)\]", name).groups()
+        point.append(getattr(h.arrays[int(r) - 1], kind)[int(i)][int(j)])
+    return point
+
+
+def test_sun_hives_satisfy_the_built_and_reduced_systems():
+    # every integral hive is a point of the unreduced system, equations tight,
+    # and of the reduced one at its boundary, so no reduced rhs is too small
+    cases = [
+        ([(1, 0)] * 6, 2),
+        ([(2, 1), (2, 1), (1, 1), (1, 1), (1, 0), (1, 0)], 2),
+        ([(1, 1, 0), (1, 0, 0), (1, 0, 0), (1, 1, 0)], 3),
+        ([(2, 1, 0)] * 4, 3),
+    ]
+    for lams, n in cases:
+        m = len(lams)
+        system = build_linear_system(lams, n, m)
+        reduced = reduced_system(n, m)
+        beta = [x for lam in lams for x in lam]
+        seen = 0
+        for h in iter_sun_hives(lams, n):
+            x = hive_point(h, system.variables)
+            assert all(sum(map(mul, a, x)) <= b for a, b in system.ineqs)
+            assert all(sum(map(mul, a, x)) == b for a, b in system.eqs)
+            y = [x[j] for j in reduced.live]
+            assert all(sum(map(mul, a, y)) <= hive._evaluate(form, beta) for a, form in reduced.ineqs)
+            assert all(hive._evaluate(form, beta) == 0 for form in reduced.eqs)
+            seen += 1
+        assert seen == f_sun(lams, n) > 0, lams
