@@ -5,7 +5,14 @@ chain sums, glued hive counting, quiver weight-space dimensions, and exact
 LP positivity), plus the Horn-type cone machinery: inequality generation,
 membership, saturation and factorization checks, and the golden facet data
 for the n = 2, m = 6 cone.
+
+``import sunlr`` loads only the error classes.  Every other public name, and
+every submodule, is imported on first access (PEP 562), so ``from sunlr
+import f_sun`` loads the chain engine and what it needs, and nothing of the
+hive, LP, Horn or quiver layers.
 """
+
+from importlib import import_module
 
 from .errors import (
     BudgetExceededError,
@@ -15,50 +22,80 @@ from .errors import (
     UnsupportedShapeError,
     WallPreconditionError,
 )
-from .generalized import (
-    ChainProblem,
-    LevelOneSpec,
-    f1,
-    f2,
-    f_sun,
-    level1_f,
-    level1_lambdas,
-    stretched_table,
-)
-from .hive import (
-    LinearSystem,
-    SunHive,
-    TriangularHive,
-    build_linear_system,
-    count_sun_hives,
-    lp_feasible,
-    positivity,
-    validate_sun_hive,
-)
-from .horn import (
-    HornInequality,
-    SubsetTuple,
-    facets_2_6_golden,
-    factorization_check,
-    generate_T,
-    in_cone,
-    saturation_report,
-    underline_lambda,
-    verify_facets_2_6,
-)
-from .lr import LrTriple, lr_coefficient, lr_hive_count, rectangular_lr
-from .partitions import conjugate, contains, lambda_of_set, stretch
-from .quiver import (
-    SunQuiver,
-    beta_from_subsets,
-    build_sun_quiver,
-    dim_si_sun,
-    euler_form,
-    is_fundamental_schur,
-    jump_sets,
-    sigma_apply,
-    sigma_from_subsets,
-    weight_sigma1,
-)
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it serves through the package
+_LAZY = {
+    "generalized": (
+        "ChainProblem",
+        "LevelOneSpec",
+        "f1",
+        "f2",
+        "f_sun",
+        "level1_f",
+        "level1_lambdas",
+        "stretched_table",
+    ),
+    "hive": (
+        "LinearSystem",
+        "SunHive",
+        "TriangularHive",
+        "build_linear_system",
+        "count_sun_hives",
+        "lp_feasible",
+        "positivity",
+        "validate_sun_hive",
+    ),
+    "horn": (
+        "HornInequality",
+        "SubsetTuple",
+        "facets_2_6_golden",
+        "factorization_check",
+        "generate_T",
+        "in_cone",
+        "saturation_report",
+        "underline_lambda",
+        "verify_facets_2_6",
+    ),
+    "lr": ("lr_coefficient", "lr_hive_count", "rectangular_lr"),
+    "partitions": ("conjugate", "contains", "lambda_of_set", "stretch"),
+    "quiver": (
+        "SunQuiver",
+        "beta_from_subsets",
+        "build_sun_quiver",
+        "dim_si_sun",
+        "euler_form",
+        "is_fundamental_schur",
+        "jump_sets",
+        "sigma_apply",
+        "sigma_from_subsets",
+        "weight_sigma1",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_SUBMODULES = frozenset(("cli", "linprog", *_LAZY))
+
+__all__ = [
+    "BudgetExceededError",
+    "InvalidInputError",
+    "OracleDisagreementError",
+    "SunlrError",
+    "UnsupportedShapeError",
+    "WallPreconditionError",
+    *_HOME,
+]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

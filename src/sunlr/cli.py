@@ -9,6 +9,13 @@ sorted keys, no timestamps.
 Exit codes: 0 success, 1 input error, 2 oracle disagreement, 3 budget
 exceeded.  ``--cross-check`` re-derives values by every independent method
 available for the subcommand and fails loudly on disagreement.
+
+Each kind's handler imports the layers it uses when it runs, so a request
+compiles and loads no other: ``lr`` needs only the LR kernels; ``stretch``,
+``f1``, ``f2`` and ``f`` add the chain engine; the Horn kinds (``cone``,
+``horn_gen``, ``factorize``, ``facets26``) add the Horn and LP layers;
+``positivity`` the hive and LP layers; ``f --cross-check`` the hive, LP and
+quiver layers; and ``selftest`` every layer.
 """
 
 from __future__ import annotations
@@ -16,27 +23,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
-from . import generalized, hive, horn, quiver
 from .errors import InvalidInputError, OracleDisagreementError, SunlrError
 from .lr import lr_coefficient, lr_hive_count
 from .partitions import canonical, check_sequence, iter_partition_tuples
-
-KINDS = (
-    "lr",
-    "f_sun",
-    "f1",
-    "f2",
-    "positivity",
-    "cone",
-    "horn_gen",
-    "stretch",
-    "facets26",
-    "factorize",
-    "selftest",
-)
 
 SUBCOMMAND_KIND = {
     "lr": "lr",
@@ -52,20 +42,20 @@ SUBCOMMAND_KIND = {
     "selftest": "selftest",
 }
 
+KINDS = tuple(SUBCOMMAND_KIND.values())
+
 NO_INPUT_KINDS = ("facets26", "selftest")
 
 
-@dataclass
 class ProblemFile:
-    kind: str
-    n: int = 0
-    m: int = 0
-    lambdas: list = None
-    N_max: int = 0
-    r_max: int = 0
-    variant: str = "one"
-    subsets: list = None
-    of: str = "f_sun"
+    """A validated problem; the fields a kind does not use keep their defaults."""
+
+    def __init__(self, kind):
+        self.kind = kind
+        self.n = self.m = self.N_max = self.r_max = 0
+        self.lambdas = self.subsets = None
+        self.variant = "one"
+        self.of = "f_sun"
 
 
 def _need(doc, key, kind):
@@ -88,6 +78,8 @@ def _sequences(doc, kind, n, rational=False):
     out = []
     for idx, lam in enumerate(lambdas, start=1):
         if rational:
+            from fractions import Fraction
+
             try:
                 vals = [Fraction(x) if not isinstance(x, (bool, float)) else None for x in lam]
             except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -157,8 +149,10 @@ def parse_problem(text: str, expected_kind=None) -> ProblemFile:
             raise InvalidInputError(f"stretch field 'of' must be f_sun, f1 or f2, got {p.of!r}")
     if kind == "cone" or kind == "horn_gen":
         p.variant = doc.get("variant", "one")
-        if p.variant not in horn.VARIANTS:
-            raise InvalidInputError(f"variant must be one of {horn.VARIANTS}")
+        from .horn import VARIANTS
+
+        if p.variant not in VARIANTS:
+            raise InvalidInputError(f"variant must be one of {VARIANTS}")
     if kind == "factorize":
         p.subsets = doc.get("subsets")
         if p.subsets is not None:
@@ -173,175 +167,200 @@ def _echo_lambdas(lambdas):
     return [list(canonical(l)) for l in lambdas]
 
 
-def _frac_str(x: Fraction):
+def _frac_str(x):
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def run(p: ProblemFile, cross_check=False, budget=None) -> dict:
-    """Dispatch a validated problem; returns the report payload."""
-    if p.kind == "lr":
-        lam, mu, nu = p.lambdas
-        value = lr_coefficient(lam, mu, nu, p.n)
-        report = {
-            "kind": "lr",
-            "n": p.n,
-            "input": {"lambda": list(lam), "mu": list(mu), "nu": list(nu)},
-            "value": value,
-            "methods": ["tableau"],
-        }
-        if cross_check:
-            methods = {"tableau": value}
-            if all(not x or min(x) >= 0 for x in (lam, mu, nu)):
-                methods["hive"] = lr_hive_count(lam, mu, nu, p.n)
-            report["methods"] = sorted(methods)
-            report["cross_check"] = {k: v for k, v in sorted(methods.items())}
-            if len(set(methods.values())) > 1:
-                raise OracleDisagreementError(f"lr methods disagree: {methods}")
-        return report
+def _run_lr(p, cross_check, budget):
+    lam, mu, nu = p.lambdas
+    value = lr_coefficient(lam, mu, nu, p.n)
+    report = {
+        "kind": "lr",
+        "n": p.n,
+        "input": {"lambda": list(lam), "mu": list(mu), "nu": list(nu)},
+        "value": value,
+        "methods": ["tableau"],
+    }
+    if cross_check:
+        methods = {"tableau": value}
+        if all(not x or min(x) >= 0 for x in (lam, mu, nu)):
+            methods["hive"] = lr_hive_count(lam, mu, nu, p.n)
+        report["methods"] = sorted(methods)
+        report["cross_check"] = {k: v for k, v in sorted(methods.items())}
+        if len(set(methods.values())) > 1:
+            raise OracleDisagreementError(f"lr methods disagree: {methods}")
+    return report
 
-    if p.kind == "f_sun":
-        value = generalized.f_sun(p.lambdas, p.n, budget=budget)
-        report = {
-            "kind": "f_sun",
-            "n": p.n,
-            "m": p.m,
-            "input": {"lambdas": _echo_lambdas(p.lambdas)},
-            "value": value,
-            "methods": ["chain"],
-        }
-        if cross_check:
-            methods = {"chain": value}
-            methods["sun_hive_count"] = hive.count_sun_hives(p.lambdas, p.n, budget=budget)
-            Q = quiver.build_sun_quiver(p.n, p.m // 2)
-            methods["weight_space"] = quiver.dim_si_sun(Q, quiver.weight_sigma1(p.lambdas, p.n))
-            positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
-            report["methods"] = sorted(methods) + ["lp_positivity"]
-            report["cross_check"] = {k: v for k, v in sorted(methods.items())}
-            report["cross_check"]["lp_positivity"] = positive
-            if len(set(methods.values())) > 1 or positive != (value > 0):
-                raise OracleDisagreementError(
-                    f"f_sun methods disagree: {methods}, lp positivity {positive}"
-                )
-        return report
 
-    if p.kind in ("f1", "f2"):
-        fn = generalized.f1 if p.kind == "f1" else generalized.f2
-        value = fn(p.lambdas, p.n, budget=budget)
-        return {
-            "kind": p.kind,
-            "n": p.n,
-            "m": p.m,
-            "input": {"lambdas": _echo_lambdas(p.lambdas)},
-            "value": value,
-            "methods": ["chain"],
-        }
+def _run_f_sun(p, cross_check, budget):
+    from . import generalized
 
-    if p.kind == "positivity":
+    value = generalized.f_sun(p.lambdas, p.n, budget=budget)
+    report = {
+        "kind": "f_sun",
+        "n": p.n,
+        "m": p.m,
+        "input": {"lambdas": _echo_lambdas(p.lambdas)},
+        "value": value,
+        "methods": ["chain"],
+    }
+    if cross_check:
+        from . import hive, quiver
+
+        methods = {"chain": value}
+        methods["sun_hive_count"] = hive.count_sun_hives(p.lambdas, p.n, budget=budget)
+        Q = quiver.build_sun_quiver(p.n, p.m // 2)
+        methods["weight_space"] = quiver.dim_si_sun(Q, quiver.weight_sigma1(p.lambdas, p.n))
         positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
-        report = {
-            "kind": "positivity",
-            "n": p.n,
-            "m": p.m,
-            "input": {"lambdas": _echo_lambdas(p.lambdas)},
-            "positive": positive,
-            "methods": ["lp_feasibility"],
-        }
-        if cross_check:
-            value = generalized.f_sun(p.lambdas, p.n, budget=budget)
-            report["methods"] = ["chain", "lp_feasibility"]
-            report["cross_check"] = {"chain_value": value, "lp_positive": positive}
-            if positive != (value > 0):
-                raise OracleDisagreementError(
-                    f"positivity disagrees: chain value {value}, LP {positive}"
-                )
-        return report
-
-    if p.kind == "cone":
-        member = horn.in_cone(p.lambdas, p.n, p.m, p.variant, budget=budget)
-        report = {
-            "kind": "cone",
-            "n": p.n,
-            "m": p.m,
-            "variant": p.variant,
-            "input": {"lambdas": [[_frac_str(Fraction(x)) for x in l] for l in p.lambdas]},
-            "in_cone": member,
-            "methods": [f"horn_{p.variant}"],
-        }
-        if cross_check:
-            other = "nonzero" if p.variant == "one" else "one"
-            member2 = horn.in_cone(p.lambdas, p.n, p.m, other, budget=budget)
-            report["methods"] = sorted([f"horn_{p.variant}", f"horn_{other}"])
-            report["cross_check"] = {f"horn_{p.variant}": member, f"horn_{other}": member2}
-            if member != member2:
-                raise OracleDisagreementError(
-                    f"cone variants disagree: {p.variant}={member}, {other}={member2}"
-                )
-        return report
-
-    if p.kind == "horn_gen":
-        tuples = horn.generate_T(p.n, p.m, p.variant, budget=budget)
-        return {
-            "kind": "horn_gen",
-            "n": p.n,
-            "m": p.m,
-            "variant": p.variant,
-            "count": len(tuples),
-            "tuples": [[list(s) for s in st.subsets] for st in tuples],
-            "inequalities": [horn.HornInequality(st).schema() for st in tuples],
-        }
-
-    if p.kind == "stretch":
-        problem = generalized.ChainProblem(p.of, p.n, tuple(canonical(l) for l in p.lambdas))
-        values = generalized.stretched_table(problem, p.N_max, budget=budget)
-        return {
-            "kind": "stretch",
-            "of": p.of,
-            "n": p.n,
-            "m": p.m,
-            "N_max": p.N_max,
-            "input": {"lambdas": _echo_lambdas(p.lambdas)},
-            "values": values,
-        }
-
-    if p.kind == "factorize":
-        subsets = p.subsets
-        if subsets is None:
-            tight = horn.find_tight_tuples(p.lambdas, p.n, p.m, budget=budget)
-            if not tight:
-                raise InvalidInputError("no tight nonempty inequality found for this tuple")
-            subsets = [list(s) for s in tight[0].subsets]
-        rep = horn.factorization_check(p.lambdas, [tuple(s) for s in subsets], p.n, budget=budget)
-        rep.update(
-            {
-                "kind": "factorize",
-                "n": p.n,
-                "m": p.m,
-                "input": {"lambdas": _echo_lambdas(p.lambdas)},
-                "subsets": [list(s) for s in subsets],
-            }
-        )
-        if not rep["passed"]:
+        report["methods"] = sorted(methods) + ["lp_positivity"]
+        report["cross_check"] = {k: v for k, v in sorted(methods.items())}
+        report["cross_check"]["lp_positivity"] = positive
+        if len(set(methods.values())) > 1 or positive != (value > 0):
             raise OracleDisagreementError(
-                f"factorization identity failed: {rep['value']} != "
-                f"{rep['value_star']} * {rep['value_sharp']}"
+                f"f_sun methods disagree: {methods}, lp positivity {positive}"
             )
-        return rep
-
-    if p.kind == "facets26":
-        closure = horn.facets_2_6_closure()
-        report = {"kind": "facets26", **horn.facets_2_6_golden()}
-        report["closure_count"] = len(closure)
-        report["closure"] = [[list(s) for s in st.subsets] for st in closure]
-        return report
-
-    if p.kind == "selftest":
-        return _selftest(budget=budget)
-
-    raise InvalidInputError(f"unhandled kind {p.kind!r}")
+    return report
 
 
-def _selftest(budget=None) -> dict:
+def _run_open_chain(p, cross_check, budget):
+    from . import generalized
+
+    fn = generalized.f1 if p.kind == "f1" else generalized.f2
+    value = fn(p.lambdas, p.n, budget=budget)
+    return {
+        "kind": p.kind,
+        "n": p.n,
+        "m": p.m,
+        "input": {"lambdas": _echo_lambdas(p.lambdas)},
+        "value": value,
+        "methods": ["chain"],
+    }
+
+
+def _run_positivity(p, cross_check, budget):
+    from . import hive
+
+    positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
+    report = {
+        "kind": "positivity",
+        "n": p.n,
+        "m": p.m,
+        "input": {"lambdas": _echo_lambdas(p.lambdas)},
+        "positive": positive,
+        "methods": ["lp_feasibility"],
+    }
+    if cross_check:
+        from . import generalized
+
+        value = generalized.f_sun(p.lambdas, p.n, budget=budget)
+        report["methods"] = ["chain", "lp_feasibility"]
+        report["cross_check"] = {"chain_value": value, "lp_positive": positive}
+        if positive != (value > 0):
+            raise OracleDisagreementError(
+                f"positivity disagrees: chain value {value}, LP {positive}"
+            )
+    return report
+
+
+def _run_cone(p, cross_check, budget):
+    from . import horn
+
+    member = horn.in_cone(p.lambdas, p.n, p.m, p.variant, budget=budget)
+    report = {
+        "kind": "cone",
+        "n": p.n,
+        "m": p.m,
+        "variant": p.variant,
+        "input": {"lambdas": [[_frac_str(x) for x in l] for l in p.lambdas]},
+        "in_cone": member,
+        "methods": [f"horn_{p.variant}"],
+    }
+    if cross_check:
+        other = "nonzero" if p.variant == "one" else "one"
+        member2 = horn.in_cone(p.lambdas, p.n, p.m, other, budget=budget)
+        report["methods"] = sorted([f"horn_{p.variant}", f"horn_{other}"])
+        report["cross_check"] = {f"horn_{p.variant}": member, f"horn_{other}": member2}
+        if member != member2:
+            raise OracleDisagreementError(
+                f"cone variants disagree: {p.variant}={member}, {other}={member2}"
+            )
+    return report
+
+
+def _run_horn_gen(p, cross_check, budget):
+    from . import horn
+
+    tuples = horn.generate_T(p.n, p.m, p.variant, budget=budget)
+    return {
+        "kind": "horn_gen",
+        "n": p.n,
+        "m": p.m,
+        "variant": p.variant,
+        "count": len(tuples),
+        "tuples": [[list(s) for s in st.subsets] for st in tuples],
+        "inequalities": [horn.HornInequality(st).schema() for st in tuples],
+    }
+
+
+def _run_stretch(p, cross_check, budget):
+    from . import generalized
+
+    problem = generalized.ChainProblem(p.of, p.n, tuple(canonical(l) for l in p.lambdas))
+    values = generalized.stretched_table(problem, p.N_max, budget=budget)
+    return {
+        "kind": "stretch",
+        "of": p.of,
+        "n": p.n,
+        "m": p.m,
+        "N_max": p.N_max,
+        "input": {"lambdas": _echo_lambdas(p.lambdas)},
+        "values": values,
+    }
+
+
+def _run_factorize(p, cross_check, budget):
+    from . import horn
+
+    subsets = p.subsets
+    if subsets is None:
+        tight = horn.find_tight_tuples(p.lambdas, p.n, p.m, budget=budget)
+        if not tight:
+            raise InvalidInputError("no tight nonempty inequality found for this tuple")
+        subsets = [list(s) for s in tight[0].subsets]
+    rep = horn.factorization_check(p.lambdas, [tuple(s) for s in subsets], p.n, budget=budget)
+    rep.update(
+        {
+            "kind": "factorize",
+            "n": p.n,
+            "m": p.m,
+            "input": {"lambdas": _echo_lambdas(p.lambdas)},
+            "subsets": [list(s) for s in subsets],
+        }
+    )
+    if not rep["passed"]:
+        raise OracleDisagreementError(
+            f"factorization identity failed: {rep['value']} != "
+            f"{rep['value_star']} * {rep['value_sharp']}"
+        )
+    return rep
+
+
+def _run_facets26(p, cross_check, budget):
+    from . import horn
+
+    closure = horn.facets_2_6_closure()
+    report = {"kind": "facets26", **horn.facets_2_6_golden()}
+    report["closure_count"] = len(closure)
+    report["closure"] = [[list(s) for s in st.subsets] for st in closure]
+    return report
+
+
+def _run_selftest(p, cross_check, budget):
     """Exhaustive small-instance agreement suites; raises on any mismatch."""
+    import itertools
+
+    from . import generalized, hive, horn, quiver
+
     suites = {}
 
     count = 0
@@ -374,8 +393,6 @@ def _selftest(budget=None) -> dict:
             count += 1
     suites["horn_equivalence"] = count
 
-    import itertools
-
     count = 0
     for j in itertools.product(range(2), repeat=4):
         spec = generalized.LevelOneSpec(j)
@@ -388,6 +405,30 @@ def _selftest(budget=None) -> dict:
     suites["level1_closed_form"] = count
 
     return {"kind": "selftest", "passed": True, "suites": suites}
+
+
+# kind -> handler(problem, cross_check, budget)
+HANDLERS = {
+    "lr": _run_lr,
+    "f_sun": _run_f_sun,
+    "f1": _run_open_chain,
+    "f2": _run_open_chain,
+    "positivity": _run_positivity,
+    "cone": _run_cone,
+    "horn_gen": _run_horn_gen,
+    "stretch": _run_stretch,
+    "factorize": _run_factorize,
+    "facets26": _run_facets26,
+    "selftest": _run_selftest,
+}
+
+
+def run(p: ProblemFile, cross_check=False, budget=None) -> dict:
+    """Dispatch a validated problem; returns the report payload."""
+    handler = HANDLERS.get(p.kind)
+    if handler is None:
+        raise InvalidInputError(f"unhandled kind {p.kind!r}")
+    return handler(p, cross_check, budget)
 
 
 def _render_plain(report: dict) -> str:
@@ -422,14 +463,14 @@ def main(argv=None) -> int:
     kind = SUBCOMMAND_KIND[args.subcommand]
 
     try:
-        if kind in NO_INPUT_KINDS and args.file is None and (sys.stdin.isatty() if argv is None else True):
-            text = ""
-        elif args.file is not None:
+        if args.file is not None:
             try:
                 with open(args.file) as fh:
                     text = fh.read()
             except OSError as exc:
                 raise InvalidInputError(f"cannot read {args.file}: {exc}")
+        elif kind in NO_INPUT_KINDS:
+            text = ""
         else:
             text = sys.stdin.read()
         problem = parse_problem(text, expected_kind=kind)

@@ -36,7 +36,6 @@ a single dict, so concurrent use is safe and schedule independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import InvalidInputError
@@ -49,26 +48,6 @@ from .partitions import (
     pad,
     size,
 )
-
-
-@dataclass(frozen=True)
-class LrTriple:
-    """A coefficient query c^nu_{lam,mu} in ambient rank n."""
-
-    lam: IntSeq
-    mu: IntSeq
-    nu: IntSeq
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError(f"rank n must be >= 1, got {self.n}")
-        for name, seq in (("lambda", self.lam), ("mu", self.mu), ("nu", self.nu)):
-            parts = check_sequence(seq, name)
-            if len(parts) > self.n:
-                raise InvalidInputError(
-                    f"{name} {list(seq)} has more than n={self.n} parts"
-                )
 
 
 def _full_view(seq, n, name):
@@ -111,10 +90,6 @@ def lr_coefficient(lam, mu, nu, n: int) -> int:
     if max(len(plam), len(pmu), len(pnu)) > n:
         return 0
     return _lr_tableau_count(plam, pmu, pnu)
-
-
-def lr_coefficient_triple(t: LrTriple) -> int:
-    return lr_coefficient(t.lam, t.mu, t.nu, t.n)
 
 
 @cache

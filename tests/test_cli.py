@@ -248,9 +248,9 @@ def test_main_selftest(capsys, monkeypatch):
 
 def test_main_oracle_disagreement_exit_code(capsys, monkeypatch):
     # a cross-check that sees inconsistent oracles must exit 2, never pass silently
-    import sunlr.cli as cli_mod
+    import sunlr.hive
 
-    monkeypatch.setattr(cli_mod.hive, "count_sun_hives", lambda *a, **k: 99)
+    monkeypatch.setattr(sunlr.hive, "count_sun_hives", lambda *a, **k: 99)
     code, out = run_cli(
         capsys,
         ["f", "--cross-check"],
@@ -278,3 +278,26 @@ def test_main_plain_rendering(capsys, monkeypatch):
     )
     assert code == 0
     assert "value: 2" in out
+
+
+def test_selftest_does_not_wait_for_open_stdin():
+    # a no-input subcommand must not read standard input: with an open,
+    # silent pipe on stdin it would wait forever for end of file
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "sunlr", "selftest"]
+    pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with subprocess.Popen(argv, env=env, text=True, **pipes) as proc:
+        try:
+            code = proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            pytest.fail("selftest waited for standard input")
+        report = json.loads(proc.stdout.read())
+    assert code == 0
+    assert report["passed"] is True

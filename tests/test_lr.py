@@ -4,10 +4,8 @@ from hypothesis import strategies as st
 
 from sunlr.errors import InvalidInputError
 from sunlr.lr import (
-    LrTriple,
     iter_lr_hives,
     lr_coefficient,
-    lr_coefficient_triple,
     lr_hive_count,
     rectangular_lr,
 )
@@ -28,8 +26,6 @@ def test_spec_values():
 def test_rejects_non_weakly_decreasing():
     with pytest.raises(InvalidInputError):
         lr_coefficient((1, 2), (1,), (2, 2), 2)
-    with pytest.raises(InvalidInputError):
-        LrTriple((1,), (2, 1), (1, 2), 2)
 
 
 def test_too_many_parts_rejected():
@@ -128,7 +124,3 @@ def test_rectangular_matches_lr():
 def test_memo_is_keyed_on_normalized_triple():
     # two presentations of the same query must agree
     assert lr_coefficient((1, 0), (1, 1), (2, 1), 3) == lr_coefficient((1,), (1, 1), (2, 1, 0), 3)
-
-
-def test_triple_wrapper():
-    assert lr_coefficient_triple(LrTriple((1,), (1, 1), (2, 1), 3)) == 1
