@@ -1,10 +1,12 @@
 """Exact generalized Littlewood-Richardson multiplicities.
 
-Four independent evaluation routes for the cyclic chain multiplicity (LR
-chain sums, glued hive counting, quiver weight-space dimensions, and exact
-LP positivity), plus the Horn-type cone machinery: inequality generation,
-membership, saturation and factorization checks, and the golden facet data
-for the n = 2, m = 6 cone.
+Four evaluation routes for the cyclic chain multiplicity: LR chain sums,
+glued hive counting (the chain sum's walk, a hive count per factor), quiver
+weight spaces (reduced to the memoized chain sum, so they agree with it by
+construction) and exact LP positivity (no counting code shared; only the
+boundary check, with hive counting).  Plus the Horn-type cone machinery:
+inequality generation, membership, saturation and factorization checks,
+and the golden facet data for the n = 2, m = 6 cone.
 
 ``import sunlr`` loads only the error classes.  Every other public name, and
 every submodule, is imported on first access (PEP 562), so ``from sunlr

@@ -6,8 +6,8 @@ One subcommand per operation family; problems arrive as JSON documents via
 input so trailing-zero normalization is visible.  Output is deterministic:
 sorted keys, no timestamps.
 
-Exit codes: 0 success, 1 input error, 2 oracle disagreement, 3 budget
-exceeded.  ``--cross-check`` re-derives values by every independent method
+Exit codes: 0 success, 1 input or usage error, 2 oracle disagreement, 3
+budget exceeded.  ``--cross-check`` re-derives values by every method
 available for the subcommand and fails loudly on disagreement.
 
 Each kind's handler imports the layers it uses when it runs, so a request
@@ -163,8 +163,10 @@ def parse_problem(text: str, expected_kind=None) -> ProblemFile:
     return p
 
 
-def _echo_lambdas(lambdas):
-    return [list(canonical(l)) for l in lambdas]
+def _report(p, **fields):
+    """A report opening with the header the chain kinds share: kind, n, m, echoed input."""
+    echo = [list(canonical(l)) for l in p.lambdas]
+    return {"kind": p.kind, "n": p.n, "m": p.m, "input": {"lambdas": echo}, **fields}
 
 
 def _frac_str(x):
@@ -196,14 +198,7 @@ def _run_f_sun(p, cross_check, budget):
     from . import generalized
 
     value = generalized.f_sun(p.lambdas, p.n, budget=budget)
-    report = {
-        "kind": "f_sun",
-        "n": p.n,
-        "m": p.m,
-        "input": {"lambdas": _echo_lambdas(p.lambdas)},
-        "value": value,
-        "methods": ["chain"],
-    }
+    report = _report(p, value=value, methods=["chain"])
     if cross_check:
         from . import hive, quiver
 
@@ -226,29 +221,14 @@ def _run_open_chain(p, cross_check, budget):
     from . import generalized
 
     fn = generalized.f1 if p.kind == "f1" else generalized.f2
-    value = fn(p.lambdas, p.n, budget=budget)
-    return {
-        "kind": p.kind,
-        "n": p.n,
-        "m": p.m,
-        "input": {"lambdas": _echo_lambdas(p.lambdas)},
-        "value": value,
-        "methods": ["chain"],
-    }
+    return _report(p, value=fn(p.lambdas, p.n, budget=budget), methods=["chain"])
 
 
 def _run_positivity(p, cross_check, budget):
     from . import hive
 
     positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
-    report = {
-        "kind": "positivity",
-        "n": p.n,
-        "m": p.m,
-        "input": {"lambdas": _echo_lambdas(p.lambdas)},
-        "positive": positive,
-        "methods": ["lp_feasibility"],
-    }
+    report = _report(p, positive=positive, methods=["lp_feasibility"])
     if cross_check:
         from . import generalized
 
@@ -307,15 +287,7 @@ def _run_stretch(p, cross_check, budget):
 
     problem = generalized.ChainProblem(p.of, p.n, tuple(canonical(l) for l in p.lambdas))
     values = generalized.stretched_table(problem, p.N_max, budget=budget)
-    return {
-        "kind": "stretch",
-        "of": p.of,
-        "n": p.n,
-        "m": p.m,
-        "N_max": p.N_max,
-        "input": {"lambdas": _echo_lambdas(p.lambdas)},
-        "values": values,
-    }
+    return _report(p, of=p.of, N_max=p.N_max, values=values)
 
 
 def _run_factorize(p, cross_check, budget):
@@ -328,15 +300,7 @@ def _run_factorize(p, cross_check, budget):
             raise InvalidInputError("no tight nonempty inequality found for this tuple")
         subsets = [list(s) for s in tight[0].subsets]
     rep = horn.factorization_check(p.lambdas, [tuple(s) for s in subsets], p.n, budget=budget)
-    rep.update(
-        {
-            "kind": "factorize",
-            "n": p.n,
-            "m": p.m,
-            "input": {"lambdas": _echo_lambdas(p.lambdas)},
-            "subsets": [list(s) for s in subsets],
-        }
-    )
+    rep.update(_report(p, subsets=[list(s) for s in subsets]))
     if not rep["passed"]:
         raise OracleDisagreementError(
             f"factorization identity failed: {rep['value']} != "
@@ -443,8 +407,15 @@ def _render_plain(report: dict) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sunlr",
         description="Exact generalized Littlewood-Richardson multiplicities and cone machinery",
     )
@@ -455,14 +426,11 @@ def main(argv=None) -> int:
         sp.add_argument("--cross-check", action="store_true", dest="cross_check")
         sp.add_argument("--variant", choices=["one", "nonzero"])
         sp.add_argument("--budget", type=int)
-        fmt = sp.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", dest="as_json")
-        fmt.add_argument("--plain", action="store_true")
-
-    args = parser.parse_args(argv)
-    kind = SUBCOMMAND_KIND[args.subcommand]
+        sp.add_argument("--plain", action="store_true")
 
     try:
+        args = parser.parse_args(argv)
+        kind = SUBCOMMAND_KIND[args.subcommand]
         if args.file is not None:
             try:
                 with open(args.file) as fh:

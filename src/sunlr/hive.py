@@ -55,7 +55,7 @@ from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeErro
 from .generalized import cyclic_chain_sum, cyclic_slot_candidates
 from .linprog import _echelon, _reduce, feasible
 from .lr import iter_lr_hives, lr_hive_count
-from .partitions import canonical, check_partition, is_partition, pad, size
+from .partitions import canonical, check_partition, pad, size
 
 
 @dataclass
@@ -165,8 +165,6 @@ def count_sun_hives(lambdas, n: int, m=None, budget=None) -> int:
     """
     m = len(lambdas) if m is None else m
     lams = [canonical(l) for l in _check_boundary(lambdas, n, m)]
-    if not all(is_partition(l) for l in lams):
-        return 0
 
     def factor(a, b, nu):
         return lr_hive_count(a, b, nu, n)
@@ -229,68 +227,18 @@ def iter_sun_hives(lambdas, n: int):
                     break
 
 
-def count_sun_hives_raw_n1(lambdas) -> int:
-    """Third oracle for n = 1: direct enumeration of the shared-edge cycle.
-
-    With a single triangle per array the system is e_r + f_r = l(r)_1,
-    f_r = e_{r+1}, all labels nonnegative; count the integral solutions.
-    """
-    m = len(lambdas)
-    lams = [canonical(l) for l in _check_boundary(lambdas, 1, m)]
-    tops = [l[0] if l else 0 for l in lams]
-    count = 0
-    for e1 in range(0, tops[0] + 1 if tops else 1):
-        e = e1
-        ok = True
-        for r in range(m):
-            f = tops[r] - e
-            if f < 0:
-                ok = False
-                break
-            e = f
-        if ok and e == e1:
-            count += 1
-    return count
-
-
 @dataclass
 class LinearSystem:
-    """Exact inequality system A x <= b describing a sun hive polytope.
+    """Exact system A x <= b, E x = d describing a sun hive polytope.
 
-    ``ineqs`` and ``eqs`` hold (coeffs, rhs) rows over ``variables``; the
-    A x <= b view with equalities encoded as paired inequalities is
-    ``paired_rows()``.  Every coefficient is in {-1, 0, 1} and every rhs is
-    a homogeneous integer linear form in the boundary entries, evaluated.
+    ``ineqs`` and ``eqs`` hold (coeffs, rhs) rows over ``variables``.  Every
+    coefficient is in {-1, 0, 1} and every rhs is a homogeneous integer
+    linear form in the boundary entries, evaluated.
     """
 
     variables: tuple[str, ...]
     ineqs: list
     eqs: list
-    n: int = 0
-    m: int = 0
-
-    def paired_rows(self):
-        rows = list(self.ineqs)
-        for coeffs, rhs in self.eqs:
-            rows.append((coeffs, rhs))
-            rows.append((tuple(-c for c in coeffs), -rhs))
-        return rows
-
-    def export_lp_text(self) -> str:
-        lines = ["Subject To"]
-        for k, (coeffs, rhs) in enumerate(self.paired_rows()):
-            terms = []
-            for c, name in zip(coeffs, self.variables):
-                if c == 0:
-                    continue
-                sign = "+" if c > 0 else "-"
-                mag = abs(c)
-                coef = "" if mag == 1 else f"{mag} "
-                terms.append(f"{sign} {coef}{name}")
-            body = " ".join(terms) if terms else "0"
-            lines.append(f" r{k}: {body} <= {rhs}")
-        lines.append("End")
-        return "\n".join(lines)
 
 
 def system_rows(n: int, m: int) -> int:
@@ -404,7 +352,7 @@ def build_linear_system(lambdas, n: int, m=None) -> LinearSystem:
     def evaluated(rows):
         return [(tuple(row[:k]), Fraction(_evaluate(row[k:], beta))) for row in rows]
 
-    return LinearSystem(names, evaluated(ineqs), evaluated(eqs), n, m)
+    return LinearSystem(names, evaluated(ineqs), evaluated(eqs))
 
 
 def lp_feasible(system: LinearSystem) -> bool:
@@ -476,41 +424,3 @@ def positivity(lambdas, n: int, m=None, budget=None) -> bool:
     eqs = [((0,) * nvars, _evaluate(form, beta)) for form in reduced.eqs]
     return feasible(ineqs, eqs, nvars)
 
-
-def cross_array_gaps(h: SunHive) -> list[dict]:
-    """Observed (not enforced) rhombus gaps across each glued side.
-
-    For every shared edge, the two triangles meeting it from neighboring
-    arrays form a rhombus whose wing-edge differences have no canonical
-    sign (one array is flipped).  This reports the differences per shared
-    edge for debugging; validation never constrains them.
-    """
-    n, m = h.n, h.m
-    out = []
-    for r in range(m):
-        cur = h.arrays[r]
-        nxt = h.arrays[(r + 1) % m]
-        for j in range(n):
-            i = n - 1 - j
-            out.append(
-                {
-                    "arrays": [r + 1, (r + 1) % m + 1],
-                    "edge": j,
-                    "e_vs_f_wing": cur.e[i][j] - nxt.f[j][0],
-                    "g_vs_g_wing": cur.g[i][j] - nxt.g[j][0],
-                }
-            )
-    return out
-
-
-def sun_hive_to_json(h: SunHive) -> dict:
-    return {
-        "n": h.n,
-        "m": h.m,
-        "arrays": [{"e": a.e, "f": a.f, "g": a.g} for a in h.arrays],
-    }
-
-
-def sun_hive_from_json(d: dict) -> SunHive:
-    arrays = [TriangularHive(d["n"], a["e"], a["f"], a["g"]) for a in d["arrays"]]
-    return SunHive(d["n"], d["m"], arrays)

@@ -212,12 +212,11 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
 
 
 def _rational(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    try:
+        if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        pass
     raise InvalidInputError(f"expected an exact rational, got {x!r}")
 
 
@@ -447,21 +446,16 @@ def regular_facets(n: int, m: int, budget=None) -> list[SubsetTuple]:
 # golden data for n = 2, m = 6
 
 
-def _load_golden():
-    text = resources.files("sunlr").joinpath("data/facets_2_6.json").read_text()
-    return json.loads(text)
-
-
 def facets_2_6_golden() -> dict:
     """The embedded facet list for n = 2, m = 6: 14 inequality schemas and
     the matching dimension vectors, up to the polygon symmetries."""
-    return _load_golden()
+    return json.loads(resources.files("sunlr").joinpath("data/facets_2_6.json").read_text())
 
 
 def facets_2_6_closure() -> list[SubsetTuple]:
     """The golden list expanded under the symmetry group (all 63 facets)."""
     out = set()
-    for rec in _load_golden()["facets"]:
+    for rec in facets_2_6_golden()["facets"]:
         subs = tuple(tuple(s) for s in rec["subsets"])
         out.update(orbit(subs, 6))
     return [SubsetTuple(subs, 2) for subs in sorted(out)]
@@ -509,7 +503,7 @@ def computed_facets_2_6(budget=None) -> dict:
     orbits agree; otherwise the canonical (minimal) representative is used.
     """
     facets = regular_facets(2, 6, budget=budget)
-    golden = _load_golden()
+    golden = facets_2_6_golden()
     golden_by_rep = {}
     for rec in golden["facets"]:
         subs = tuple(tuple(s) for s in rec["subsets"])
@@ -538,7 +532,7 @@ def verify_facets_2_6(budget=None) -> dict:
     The golden records are re-keyed by orbit so the comparison does not
     depend on which representative the publication printed.
     """
-    golden = _load_golden()
+    golden = facets_2_6_golden()
     computed = computed_facets_2_6(budget=budget)
     golden_orbits = {
         canonical_orbit_representative(tuple(tuple(s) for s in rec["subsets"]), 6): rec

@@ -15,6 +15,8 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import InvalidInputError
 
 IntSeq = tuple[int, ...]
@@ -192,18 +194,7 @@ def partitions_of_size_in_box(total: int, bound) -> list[IntSeq]:
 def iter_partition_tuples(n_parts: int, max_entry: int, length: int):
     """Cartesian product of partitions in an (n_parts x max_entry) box.
 
-    Exhaustive-test helper: yields every ``length``-tuple of partitions with
-    at most n_parts parts and entries at most max_entry.
+    Exhaustive-test helper: iterates over every ``length``-tuple of partitions
+    with at most n_parts parts and entries at most max_entry.
     """
-    singles = partitions_in_box((max_entry,) * n_parts)
-
-    def rec(k, acc):
-        if k == length:
-            yield tuple(acc)
-            return
-        for p in singles:
-            acc.append(p)
-            yield from rec(k + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    return product(partitions_in_box((max_entry,) * n_parts), repeat=length)

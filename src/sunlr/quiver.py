@@ -79,16 +79,6 @@ def build_sun_quiver(n: int, k: int) -> SunQuiver:
     return SunQuiver(n, k)
 
 
-def beta_standard(Q: SunQuiver) -> VertexMap:
-    return {(j, i): j for i in range(1, Q.m + 1) for j in range(1, Q.n + 1)}
-
-
-def unit_vector(Q: SunQuiver, x: Vertex) -> VertexMap:
-    if x not in set(Q.vertices()):
-        raise InvalidInputError(f"vertex {x} not in the quiver")
-    return {v: (1 if v == x else 0) for v in Q.vertices()}
-
-
 def _check_defined(Q, vec, what):
     missing = [v for v in Q.vertices() if v not in vec]
     if missing:
@@ -261,14 +251,3 @@ def is_fundamental_schur(Q: SunQuiver, b: VertexMap) -> bool:
         neighbor_sum[h] += b[t]
     return all(2 * b[v] - neighbor_sum[v] <= 0 for v in Q.vertices())
 
-
-def vertex_map_to_json(vm: VertexMap) -> dict:
-    return {f"{j},{i}": int(v) for (j, i), v in sorted(vm.items(), key=lambda kv: (kv[0][1], kv[0][0]))}
-
-
-def vertex_map_from_json(d: dict) -> VertexMap:
-    out: VertexMap = {}
-    for key, v in d.items():
-        j, i = key.split(",")
-        out[(int(j), int(i))] = int(v)
-    return out

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sunlr.cli import main, parse_problem, run
+from sunlr.cli import SUBCOMMAND_KIND, main, parse_problem, run
 from sunlr.errors import InvalidInputError
 
 
@@ -88,6 +94,25 @@ def test_main_exit_codes(capsys, monkeypatch):
     code, out = run_cli(capsys, ["horn-gen"], stdin=doc(kind="horn_gen", n=3, m=6), monkeypatch=monkeypatch)
     assert code == 3
     assert json.loads(out)["error"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["f", "--budget", "x"], ["nosuch"], ["f", "--json"], []],
+    ids=["bad-budget", "unknown-subcommand", "json-flag", "no-subcommand"],
+)
+def test_main_usage_errors_are_input_errors(capsys, monkeypatch, argv):
+    # exit 2 means oracle disagreement, so argparse's own exit 2 must not leak
+    code, out = run_cli(capsys, argv, stdin=doc(kind="f_sun", n=1, lambdas=[[1]] * 4), monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["error"] == "invalid-input"
+
+
+def test_main_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["f", "--help"])
+    assert exc.value.code == 0
+    assert "--cross-check" in capsys.readouterr().out
 
 
 def test_main_deterministic_output(capsys, monkeypatch):
@@ -301,3 +326,73 @@ def test_selftest_does_not_wait_for_open_stdin():
         report = json.loads(proc.stdout.read())
     assert code == 0
     assert report["passed"] is True
+
+
+# one valid document per subcommand, n <= 2 and entries <= 3; the fuzz below mutates them
+VALID = {
+    "lr": {"kind": "lr", "n": 2, "lambdas": [[1], [1], [2]]},
+    "f": {"kind": "f_sun", "n": 2, "m": 4, "lambdas": [[2, 1], [1, 1], [1], [2]]},
+    "f1": {"kind": "f1", "n": 2, "lambdas": [[1]] * 4},
+    "f2": {"kind": "f2", "n": 2, "lambdas": [[1]] * 3},
+    "positivity": {"kind": "positivity", "n": 2, "lambdas": [[2, 1], [1, 1], [1], [2]]},
+    "cone": {"kind": "cone", "n": 2, "variant": "one", "lambdas": [["1/2", 0], [1], [1], ["1/2"]]},
+    "horn-gen": {"kind": "horn_gen", "n": 2, "m": 4},
+    "stretch": {"kind": "stretch", "n": 2, "N_max": 2, "of": "f1", "lambdas": [[1]] * 4},
+    "facets26": {},
+    "factorize": {
+        "kind": "factorize",
+        "n": 2,
+        "lambdas": [[1], [1], [1], [1], [], []],
+        "subsets": [[], [], [1], [1], [1], []],
+    },
+    "selftest": {},
+}
+FIELDS = ("kind", "n", "m", "lambdas", "N_max", "of", "variant", "subsets", "r_max")
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1, 2)
+    | st.floats(-3, 3)
+    | st.sampled_from(["1/2", "x", "one", "f1", "f_sun"])
+)
+VALUES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+FLAGS = st.one_of(
+    st.just(["--cross-check"]),
+    st.just(["--plain"]),
+    st.integers(-1, 500).map(lambda b: ["--budget", str(b)]),
+    st.sampled_from(["one", "nonzero", "bogus"]).map(lambda v: ["--variant", v]),
+    st.sampled_from([["--json"], ["--nosuch"], ["-x"]]),
+)
+ERRORS = {1: {"invalid-input", "unsupported-shape", "not-on-wall"}, 2: {"oracle-disagreement"}, 3: {"budget-exceeded"}}
+
+
+@st.composite
+def requests(draw):
+    sub = draw(st.sampled_from(sorted(SUBCOMMAND_KIND)))
+    problem = json.loads(json.dumps(VALID[sub]))
+    for key in draw(st.lists(st.sampled_from(FIELDS), max_size=3)):
+        action = draw(st.sampled_from(["drop", "replace", "entry"]))
+        if action == "drop":
+            problem.pop(key, None)
+        elif action == "replace" or not isinstance(problem.get(key), list) or not problem[key]:
+            problem[key] = draw(VALUES)
+        else:
+            seq = problem[key]
+            i = draw(st.integers(0, len(seq) - 1))
+            if isinstance(seq[i], list) and seq[i] and draw(st.booleans()):
+                seq, i = seq[i], draw(st.integers(0, len(seq[i]) - 1))
+            seq[i] = draw(VALUES)
+    argv = [sub] + [x for flag in draw(st.lists(FLAGS, max_size=3)) for x in flag]
+    return argv, json.dumps(problem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(requests())
+def test_main_fuzz_maps_every_request_to_an_exit_code(request):
+    argv, text = request
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, text)
+    if code:
+        assert json.loads(out.getvalue())["error"] in ERRORS[code], (argv, text, out.getvalue())

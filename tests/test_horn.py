@@ -95,6 +95,9 @@ def test_in_cone_rejects_bad_input():
         in_cone([(0, 1)] * 6, 2, 6)
     with pytest.raises(InvalidInputError):
         in_cone([(1, 0)] * 5, 2, 5)
+    for bad in (True, 1.0, "x", "1/0", None):
+        with pytest.raises(InvalidInputError):
+            in_cone([[bad], [bad], [], []], 1, 4)
 
 
 def test_in_cone_variant_agreement_exhaustive():

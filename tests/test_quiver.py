@@ -7,7 +7,6 @@ from sunlr.generalized import f_sun
 from sunlr.partitions import iter_partition_tuples
 from sunlr.quiver import (
     beta_from_subsets,
-    beta_standard,
     build_sun_quiver,
     dim_si_sun,
     euler_form,
@@ -15,11 +14,17 @@ from sunlr.quiver import (
     jump_sets,
     sigma_apply,
     sigma_from_subsets,
-    unit_vector,
-    vertex_map_from_json,
-    vertex_map_to_json,
     weight_sigma1,
 )
+
+
+def beta_standard(Q):
+    return {(j, i): j for j, i in Q.vertices()}
+
+
+def unit_vector(Q, x):
+    assert x in Q.vertices()
+    return {v: int(v == x) for v in Q.vertices()}
 
 
 def test_construction_counts():
@@ -177,8 +182,3 @@ def test_fundamental_region():
     disconnected[(1, 3)] = 1
     assert not is_fundamental_schur(Q, disconnected)
 
-
-def test_vertex_map_json_roundtrip():
-    Q = build_sun_quiver(2, 2)
-    b = beta_standard(Q)
-    assert vertex_map_from_json(vertex_map_to_json(b)) == b
