@@ -4,7 +4,9 @@
 For every tuple of partitions in the requested box, compares the chain
 sum, the glued-hive count, the quiver weight-space dimension, and LP
 positivity twice: from the per-shape reduced system (``positivity``) and
-from the full system built for the one boundary (``lp_feasible``).  Any
+from the full system built for the one boundary (``lp_feasible``).  When
+generate_T's 2^(nm) candidates fit its default budget, Horn cone
+membership (``in_cone``, both variants) must equal f != 0 as well.  Any
 disagreement is a bug and aborts with the witness.
 
 Usage: python scripts/oracle_sweep.py [n] [m] [max_entry]
@@ -18,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sunlr.generalized import f_sun  # noqa: E402
 from sunlr.hive import build_linear_system, count_sun_hives, lp_feasible, positivity  # noqa: E402
+from sunlr.horn import DEFAULT_T_BUDGET, VARIANTS, in_cone  # noqa: E402
 from sunlr.partitions import iter_partition_tuples  # noqa: E402
 from sunlr.quiver import build_sun_quiver, dim_si_sun, weight_sigma1  # noqa: E402
 
@@ -27,6 +30,7 @@ def main():
     m = int(sys.argv[2]) if len(sys.argv) > 2 else 4
     max_entry = int(sys.argv[3]) if len(sys.argv) > 3 else 2
     Q = build_sun_quiver(n, m // 2)
+    variants = VARIANTS if 2 ** (n * m) <= DEFAULT_T_BUDGET else ()
     started = time.time()
     checked = 0
     nonzero = 0
@@ -41,14 +45,17 @@ def main():
         lp_full = lp_feasible(build_linear_system(lams, n, m))
         lp_cpu[0] += t1 - t0
         lp_cpu[1] += time.process_time() - t1
-        if not (value == hives == weight_space and lp == lp_full == (value > 0)):
+        horn = [in_cone(lams, n, m, v) for v in variants]
+        if not (value == hives == weight_space and lp == lp_full == (value > 0)
+                and all(h == (value > 0) for h in horn)):
             print(f"DISAGREEMENT at {lams}: chain={value} hives={hives} "
-                  f"weight={weight_space} lp={lp} lp_full={lp_full}")
+                  f"weight={weight_space} lp={lp} lp_full={lp_full} in_cone={horn}")
             return 1
         checked += 1
         nonzero += value > 0
+    horn_note = "in_cone checked" if variants else "in_cone skipped: 2^(nm) over its budget"
     print(f"n={n} m={m} entries<={max_entry}: {checked} tuples agree "
-          f"({nonzero} nonzero) in {time.time()-started:.1f}s; LP CPU {lp_cpu[0]:.2f}s cached, "
+          f"({nonzero} nonzero; {horn_note}) in {time.time()-started:.1f}s; LP CPU {lp_cpu[0]:.2f}s cached, "
           f"{lp_cpu[1]:.2f}s uncached")
     return 0
 

@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from .errors import InvalidInputError, OracleDisagreementError, SunlrError
+from .errors import BudgetExceededError, InvalidInputError, OracleDisagreementError, SunlrError
 from .lr import lr_coefficient, lr_hive_count
 from .partitions import canonical, check_sequence, iter_partition_tuples
 
@@ -186,6 +186,10 @@ def _run_lr(p, cross_check, budget):
     if cross_check:
         methods = {"tableau": value}
         if all(not x or min(x) >= 0 for x in (lam, mu, nu)):
+            # the hive enumeration pads to n: n(n-1)/2 choice points whatever the partitions
+            points = p.n * (p.n - 1) // 2
+            if budget is not None and points > budget:
+                raise BudgetExceededError(f"hive enumeration has {points} choice points, budget is {budget}")
             methods["hive"] = lr_hive_count(lam, mu, nu, p.n)
         report["methods"] = sorted(methods)
         report["cross_check"] = {k: v for k, v in sorted(methods.items())}

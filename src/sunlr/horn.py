@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import product
+from math import lcm
 
 from .errors import (
     BudgetExceededError,
@@ -144,6 +145,12 @@ class HornInequality:
         return f"{side(0)} <= {side(1)}"
 
 
+def _padded_conjugate(subset, n: int) -> IntSeq:
+    """conj(lambda(I)) padded with zeros to n - |I| entries, for a sorted subset I."""
+    conj = conjugate(lambda_of_sorted_set(subset))
+    return conj + (0,) * (n - len(subset) - len(conj))
+
+
 def underline_lambda(subsets, n: int) -> tuple[IntSeq, ...]:
     """The sequence tuple attached to a subset tuple (entries may go negative)."""
     st = subsets if isinstance(subsets, SubsetTuple) else SubsetTuple(tuple(tuple(s) for s in subsets), n)
@@ -151,10 +158,8 @@ def underline_lambda(subsets, n: int) -> tuple[IntSeq, ...]:
     out = []
     for i in range(1, m + 1):
         I = st.subsets[i - 1]
-        slots = n - len(I)
         # SubsetTuple validated I on construction
-        conj = conjugate(lambda_of_sorted_set(sorted(I)))
-        padded = conj + (0,) * (slots - len(conj))
+        padded = _padded_conjugate(sorted(I), n)
         if i % 2 == 1:
             prev = st.subsets[(i - 2) % m]
             nxt = st.subsets[i % m]
@@ -164,15 +169,58 @@ def underline_lambda(subsets, n: int) -> tuple[IntSeq, ...]:
     return tuple(out)
 
 
+# (n, m, variant) -> the generate_T list; ("candidates", n, m) -> the
+# classification both variants filter; ("rows", n, m, variant) -> in_cone's
+# index rows.  Every Horn cache lives here, so clearing it is a cold start.
 _T_CACHE: dict[tuple, tuple] = {}
+
+
+def _candidates(n: int, m: int) -> tuple:
+    """(subsets, f_sun value) of every candidate with a nonzero value, sorted.
+
+    A candidate is a subset tuple with some |I_i| < n whose attached
+    sequences are all partitions.  Even flags attach a padded conjugate,
+    always a partition; odd flag i attaches it minus c_i, a partition iff
+    its last entry is >= c_i.  The chain sums run in ascending total subset
+    size, so that small evaluations warm the memo table first.  Both
+    variants keep only nonzero values, so the zeros are not stored.
+    """
+    key = ("candidates", n, m)
+    hit = _T_CACHE.get(key)
+    if hit is not None:
+        return hit
+    subsets = [tuple(j + 1 for j in range(n) if mask >> j & 1) for mask in range(2**n)]
+    padded = {s: _padded_conjugate(s, n) for s in subsets}
+    full = (subsets[-1],) * m
+    classified = []
+    for subs in sorted(product(subsets, repeat=m), key=lambda subs: (sum(map(len, subs)), subs)):
+        if subs == full:
+            continue
+        under = []
+        for i, s in enumerate(subs):
+            seq = padded[s]
+            if i % 2 == 0 and seq:  # odd flag i + 1, fewer than n elements
+                c = len(s) - len(subs[i - 1]) - len(subs[(i + 1) % m])
+                if seq[-1] < c:
+                    break
+                if c:
+                    seq = tuple(x - c for x in seq)
+            under.append(seq)
+        else:
+            val = f_sun(tuple(under), n)
+            if val:
+                classified.append((subs, val))
+    classified.sort()
+    _T_CACHE[key] = tuple(classified)
+    return _T_CACHE[key]
 
 
 def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[SubsetTuple]:
     """All subset tuples passing the partition and multiplicity filters.
 
-    Enumerates the full 2^(nm) product (budget-guarded), in ascending total
-    subset size so that small chain evaluations warm the memo table first.
-    The returned list is canonically sorted.
+    Both variants filter one classification of the full 2^(nm) product
+    (budget-guarded), made once per (n, m).  The returned list is
+    canonically sorted.
     """
     if variant not in VARIANTS:
         raise InvalidInputError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -188,25 +236,8 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
     key = (n, m, variant)
     if key in _T_CACHE:
         return list(_T_CACHE[key])
-
-    all_subsets = []
-    for mask in range(2**n):
-        all_subsets.append(tuple(j + 1 for j in range(n) if mask >> j & 1))
-    candidates = sorted(
-        product(all_subsets, repeat=m),
-        key=lambda subs: (sum(len(s) for s in subs), subs),
-    )
-    kept = []
-    for subs in candidates:
-        if all(len(s) == n for s in subs):
-            continue
-        under = underline_lambda(subs, n)
-        if not all(is_partition(u) for u in under):
-            continue
-        val = f_sun(under, n)
-        if (variant == "one" and val == 1) or (variant == "nonzero" and val != 0):
-            kept.append(SubsetTuple(subs, n))
-    kept.sort(key=lambda st: st.subsets)
+    one = variant == "one"
+    kept = [SubsetTuple(subs, n) for subs, val in _candidates(n, m) if (val == 1 if one else val != 0)]
     _T_CACHE[key] = tuple(kept)
     return kept
 
@@ -238,19 +269,40 @@ def check_rational_tuple(lambdas, n: int, m: int):
     return full
 
 
+def _index_rows(tuples, n: int, m: int, variant: str) -> tuple:
+    """(even-side, odd-side) flat indices l(i)_j -> (i-1)*n + j-1 per inequality."""
+    key = ("rows", n, m, variant)
+    rows = _T_CACHE.get(key)
+    if rows is None:
+        rows = []
+        for st in tuples:
+            vec = HornInequality(st).coefficient_vector()
+            rows.append((
+                tuple(k for k, c in enumerate(vec) if c > 0),
+                tuple(k for k, c in enumerate(vec) if c < 0),
+            ))
+        rows = _T_CACHE[key] = tuple(rows)
+    return rows
+
+
 def in_cone(lambdas, n: int, m: int, variant: str = "one", budget=None) -> bool:
-    """Membership in the rational cone cut out by the Horn-type inequalities."""
+    """Membership in the rational cone cut out by the Horn-type inequalities.
+
+    The tuple is scaled once by the lcm of its denominators, so each
+    inequality is a comparison of two sums of Python integers.
+    """
     if m < 4 or m % 2:
         raise UnsupportedShapeError(f"need an even number m >= 4 of flags, got m={m}")
     full = check_rational_tuple(lambdas, n, m)
-    odd = sum(sum(full[i]) for i in range(0, m, 2))
-    even = sum(sum(full[i]) for i in range(1, m, 2))
+    scale = lcm(*(x.denominator for lam in full for x in lam))
+    flat = [x.numerator * (scale // x.denominator) for lam in full for x in lam]
+    odd = sum(sum(flat[i * n:(i + 1) * n]) for i in range(0, m, 2))
+    even = sum(sum(flat[i * n:(i + 1) * n]) for i in range(1, m, 2))
     if odd != even:
         return False
-    for st in generate_T(n, m, variant, budget=budget):
-        if not HornInequality(st).holds(full):
-            return False
-    return True
+    rows = _index_rows(generate_T(n, m, variant, budget=budget), n, m, variant)
+    get = flat.__getitem__
+    return all(sum(map(get, lo)) <= sum(map(get, hi)) for lo, hi in rows)
 
 
 def saturation_report(lambdas, n: int, r_max: int, budget=None) -> dict:

@@ -176,6 +176,32 @@ def test_main_positivity_budget_counts_rows(capsys, monkeypatch):
     assert json.loads(out)["message"] == "linear program needs 64 rows, budget is 63"
 
 
+def test_main_lr_cross_check_budget_counts_hive_choice_points(capsys, monkeypatch):
+    from sunlr import lr
+
+    def refuse(*args):
+        raise AssertionError("the hive enumeration started despite the budget")
+
+    # the hive half pads to n, so its n(n-1)/2 choice points set its cost
+    payload = doc(kind="lr", n=1000, lambdas=[[1], [1], [2]])
+    with monkeypatch.context() as patched:
+        patched.setattr(lr, "iter_lr_hives", refuse)
+        code, out = run_cli(capsys, ["lr", "--cross-check", "--budget", "1"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "budget-exceeded",
+        "message": "hive enumeration has 499500 choice points, budget is 1",
+    }
+    code, out = run_cli(capsys, ["lr", "--cross-check"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["cross_check"] == {"hive": 1, "tableau": 1}
+    # n = 3 has 3 choice points: a budget of 3 admits the hive half, 2 refuses it
+    payload = doc(kind="lr", n=3, lambdas=[[2, 1], [2, 1], [3, 2, 1]])
+    for budget, expected in (("3", 0), ("2", 3)):
+        code, out = run_cli(capsys, ["lr", "--cross-check", "--budget", budget], stdin=payload, monkeypatch=monkeypatch)
+        assert code == expected, budget
+
+
 @pytest.mark.parametrize(
     "argv, payload",
     [

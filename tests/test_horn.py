@@ -1,7 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sunlr import horn
 from sunlr.errors import (
     BudgetExceededError,
     InvalidInputError,
@@ -9,6 +13,7 @@ from sunlr.errors import (
 )
 from sunlr.generalized import f_sun
 from sunlr.horn import (
+    VARIANTS,
     HornInequality,
     SubsetTuple,
     apply_permutation,
@@ -27,7 +32,7 @@ from sunlr.horn import (
     underline_lambda,
     verify_facets_2_6,
 )
-from sunlr.partitions import iter_partition_tuples, pad, size
+from sunlr.partitions import is_partition, iter_partition_tuples, pad, size
 
 
 def test_underline_examples():
@@ -55,11 +60,48 @@ def test_generate_T_small():
     assert t_one <= t_nz
 
 
-def test_generate_T_budget():
+def _reference_T(n, m):
+    """Both generate_T lists by the definition, one candidate at a time:
+    underline_lambda, is_partition on every attached sequence, then f_sun.
+    Shares f_sun (and its memo) with generate_T, nothing else of it."""
+    subsets = [tuple(j + 1 for j in range(n) if mask >> j & 1) for mask in range(2**n)]
+    out = {"one": [], "nonzero": []}
+    for subs in product(subsets, repeat=m):
+        if all(len(s) == n for s in subs):
+            continue
+        under = underline_lambda(subs, n)
+        if not all(is_partition(u) for u in under):
+            continue
+        val = f_sun(under, n)
+        if val == 1:
+            out["one"].append(subs)
+        if val != 0:
+            out["nonzero"].append(subs)
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (1, 6), (1, 8), (1, 10), (2, 4), (2, 6), (3, 4)])
+def test_generate_T_matches_reference(monkeypatch, n, m):
+    monkeypatch.setattr(horn, "_T_CACHE", {})
+    ref = _reference_T(n, m)
+    for variant in VARIANTS:
+        assert [t.subsets for t in generate_T(n, m, variant)] == sorted(ref[variant]), variant
+
+
+def test_generate_T_budget(monkeypatch):
+    monkeypatch.setattr(horn, "_T_CACHE", {})
     with pytest.raises(BudgetExceededError):
         generate_T(3, 6, "one")
+    generate_T(1, 4, "one")
+    in_cone([(1,)] * 4, 1, 4, "one")
+    before = dict(horn._T_CACHE)
+    # refused before any enumeration: nothing of (2, 4) is classified or cached
     with pytest.raises(BudgetExceededError):
         generate_T(2, 4, "one", budget=4)
+    assert horn._T_CACHE == before
+    with pytest.raises(BudgetExceededError):
+        in_cone([(1, 0)] * 4, 2, 4, "one", budget=4)
+    assert horn._T_CACHE == before
 
 
 def test_generate_T_closed_under_symmetry():
@@ -88,6 +130,38 @@ def test_in_cone_examples():
     assert not in_cone([(1, 0), (3, 0), (1, 0), (0, 0), (1, 0), (0, 0)], 2, 6)
     assert not in_cone([(1, 0), (), (), (), (), ()], 2, 6)
     assert in_cone([(Fraction(1, 2), 0)] * 6, 2, 6)
+
+
+def _rational_tuple(data, n, m):
+    """Weakly decreasing rational tuple, as given and zero-padded: entries
+    with mixed denominators, as Fraction, "p/q" string or int, negative in
+    about half the tuples; trailing zeros sometimes dropped, so a negative
+    entry only appears in a sequence of n entries.  Balanced by raising one
+    top entry unless the draw says otherwise."""
+    low = data.draw(st.sampled_from((0, -4)))
+    entry = st.builds(Fraction, st.integers(low, 6), st.sampled_from((1, 2, 3, 4, 6)))
+    full = [sorted(data.draw(st.lists(entry, min_size=n, max_size=n)), reverse=True) for _ in range(m)]
+    if data.draw(st.booleans()):
+        gap = sum(map(sum, full[0::2])) - sum(map(sum, full[1::2]))
+        full[1 if gap > 0 else 0][0] += abs(gap)
+    lams = []
+    for lam in full:
+        zeros = lam.count(0) if lam[-1] == 0 else 0
+        keep = len(lam) - data.draw(st.integers(0, zeros))
+        form = data.draw(st.sampled_from((Fraction, str, lambda x: int(x) if x.denominator == 1 else str(x))))
+        lams.append([form(x) for x in lam[:keep]])
+    return lams, full
+
+
+@pytest.mark.parametrize("n, m", [(1, 6), (2, 4), (2, 6)])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_in_cone_matches_fraction_inequalities(n, m, data):
+    lams, full = _rational_tuple(data, n, m)
+    variant = data.draw(st.sampled_from(VARIANTS))
+    balanced = sum(map(sum, full[0::2])) == sum(map(sum, full[1::2]))
+    expected = balanced and all(HornInequality(t).holds(full) for t in generate_T(n, m, variant))
+    assert in_cone(lams, n, m, variant) == expected
 
 
 def test_in_cone_rejects_bad_input():
