@@ -6,8 +6,10 @@ sum, the glued-hive count, the quiver weight-space dimension, and LP
 positivity twice: from the per-shape reduced system (``positivity``) and
 from the full system built for the one boundary (``lp_feasible``).  When
 generate_T's 2^(nm) candidates fit its default budget, Horn cone
-membership (``in_cone``, both variants) must equal f != 0 as well.  Any
-disagreement is a bug and aborts with the witness.
+membership must equal f != 0 as well, decided three ways: ``in_cone`` with
+either variant's full list, and the ``minimal_facets`` rows plus the
+balance equality alone (a facet wrongly dropped as redundant would admit a
+non-member).  Any disagreement is a bug and aborts with the witness.
 
 Usage: python scripts/oracle_sweep.py [n] [m] [max_entry]
 """
@@ -20,8 +22,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sunlr.generalized import f_sun  # noqa: E402
 from sunlr.hive import build_linear_system, count_sun_hives, lp_feasible, positivity  # noqa: E402
-from sunlr.horn import DEFAULT_T_BUDGET, VARIANTS, in_cone  # noqa: E402
-from sunlr.partitions import iter_partition_tuples  # noqa: E402
+from sunlr.horn import DEFAULT_T_BUDGET, VARIANTS, HornInequality, in_cone, minimal_facets  # noqa: E402
+from sunlr.partitions import iter_partition_tuples, pad, size  # noqa: E402
 from sunlr.quiver import build_sun_quiver, dim_si_sun, weight_sigma1  # noqa: E402
 
 
@@ -31,6 +33,7 @@ def main():
     max_entry = int(sys.argv[3]) if len(sys.argv) > 3 else 2
     Q = build_sun_quiver(n, m // 2)
     variants = VARIANTS if 2 ** (n * m) <= DEFAULT_T_BUDGET else ()
+    facets = [HornInequality(st) for st in minimal_facets(n, m)] if variants else None
     started = time.time()
     checked = 0
     nonzero = 0
@@ -46,14 +49,20 @@ def main():
         lp_cpu[0] += t1 - t0
         lp_cpu[1] += time.process_time() - t1
         horn = [in_cone(lams, n, m, v) for v in variants]
+        if facets is not None:
+            full = [pad(l, n) for l in lams]
+            horn.append(sum(map(size, lams[0::2])) == sum(map(size, lams[1::2]))
+                        and all(ineq.holds(full) for ineq in facets))
         if not (value == hives == weight_space and lp == lp_full == (value > 0)
                 and all(h == (value > 0) for h in horn)):
             print(f"DISAGREEMENT at {lams}: chain={value} hives={hives} "
-                  f"weight={weight_space} lp={lp} lp_full={lp_full} in_cone={horn}")
+                  f"weight={weight_space} lp={lp} lp_full={lp_full} "
+                  f"in_cone={horn} (variants {list(variants)}, then facets)")
             return 1
         checked += 1
         nonzero += value > 0
-    horn_note = "in_cone checked" if variants else "in_cone skipped: 2^(nm) over its budget"
+    horn_note = (f"in_cone and {len(facets)} facets checked" if variants
+                 else "in_cone skipped: 2^(nm) over its budget")
     print(f"n={n} m={m} entries<={max_entry}: {checked} tuples agree "
           f"({nonzero} nonzero; {horn_note}) in {time.time()-started:.1f}s; LP CPU {lp_cpu[0]:.2f}s cached, "
           f"{lp_cpu[1]:.2f}s uncached")

@@ -171,13 +171,15 @@ def f_sun(lambdas, n: int, budget=None) -> int:
     p = _validated(lambdas, n, "f_sun")
     if not all(is_partition(l) for l in p.lambdas):
         return 0
-    key = p.lambdas
-    hit = _F_SUN_MEMO.get(key)
-    if hit is not None:
-        return hit
-    val = cyclic_chain_sum(p.lambdas, _lr_tableau_count, budget=budget)
-    _F_SUN_MEMO[key] = val
-    return val
+    return _f_sun_partitions(p.lambdas, budget)
+
+
+def _f_sun_partitions(lams, budget=None) -> int:
+    """f_sun of a tuple of canonical partitions, memoized; nothing is validated."""
+    hit = _F_SUN_MEMO.get(lams)
+    if hit is None:
+        hit = _F_SUN_MEMO[lams] = cyclic_chain_sum(lams, _lr_tableau_count, budget=budget)
+    return hit
 
 
 def f1(lambdas, n: int, budget=None) -> int:

@@ -47,7 +47,7 @@ from .errors import (
     UnsupportedShapeError,
     WallPreconditionError,
 )
-from .generalized import f_sun
+from .generalized import _f_sun_partitions, f_sun
 from .linprog import cone_implied
 from .partitions import (
     IntSeq,
@@ -182,8 +182,10 @@ def _candidates(n: int, m: int) -> tuple:
     sequences are all partitions.  Even flags attach a padded conjugate,
     always a partition; odd flag i attaches it minus c_i, a partition iff
     its last entry is >= c_i.  The chain sums run in ascending total subset
-    size, so that small evaluations warm the memo table first.  Both
-    variants keep only nonzero values, so the zeros are not stored.
+    size, so that small evaluations warm the memo table first; they enter
+    the memo of ``f_sun`` without its validation, as every sequence built
+    here is a partition with fewer than n parts.  Both variants keep only
+    nonzero values, so the zeros are not stored.
     """
     key = ("candidates", n, m)
     hit = _T_CACHE.get(key)
@@ -207,7 +209,7 @@ def _candidates(n: int, m: int) -> tuple:
                     seq = tuple(x - c for x in seq)
             under.append(seq)
         else:
-            val = f_sun(tuple(under), n)
+            val = _f_sun_partitions(tuple(map(canonical, under)))
             if val:
                 classified.append((subs, val))
     classified.sort()

@@ -2,7 +2,7 @@
 
 No floating point anywhere: inputs are ints or fractions.Fraction, and each
 input row is scaled once, by a positive factor, to coprime integers.  Every
-later step computes in Python integers.
+later step computes in Python integers; no Fraction is made here.
 
 * ``feasible`` decides {Ax <= b, Ex = d}: ``eliminate_equalities``
   substitutes the equalities out, the columns they leave zero in every row
@@ -18,20 +18,22 @@ later step computes in Python integers.
   small phase-1 problem in the dual (one equation per ambient coordinate).
 * ``fourier_motzkin_feasible`` decides Ax <= b by variable elimination.  It
   is exponential in the worst case and no route of the package uses it: it
-  is the reference the tests compare the simplex against, sharing no
-  arithmetic with it.
+  is the reference the tests compare the simplex and ``cone_implied``
+  against, sharing no arithmetic with either.
 
 The simplex and ``cone_implied`` share one pivot loop, ``_phase1``.  Its
 tableau is fraction-free: integer entries over one positive common
 denominator, updated by exact-division pivots (Edmonds 1967, Bareiss 1968),
 so every entry is a minor of the input and the numbers stay small.  The
-pivoting rule is Bland's, as in a rational tableau.
+pivoting rule is Bland's, as in a rational tableau; the ratio test compares
+rhs/entry quotients cross-multiplied.  Phase 1 stops at the first basis in
+which every artificial variable is zero: that basis is feasible, and the
+pivots Bland's rule would still take from it are degenerate.
 Rows are dense sequences of length nvars; a constraint is (coeffs, rhs).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InvalidInputError
@@ -182,7 +184,8 @@ def _phase1(rows, basis, ncols) -> bool:
     negative rhs are negated and lose their slack; every row without one
     gets an artificial variable.  Phase 1 then minimizes the sum of the
     artificials, with Bland's rule (smallest entering column, ties in the
-    ratio test to the smallest basic column) so that it cannot cycle.
+    ratio test to the smallest basic column) so that it cannot cycle, until
+    every artificial is zero (feasible) or no column can enter (infeasible).
 
     The tableau is kept fraction-free: the true entries are the integer
     entries over ``det``, the last pivot entry, which is the absolute value
@@ -203,32 +206,43 @@ def _phase1(rows, basis, ncols) -> bool:
     det = 1
 
     while True:
-        # reduced cost of column j, times det: its sum over the rows with a
-        # basic artificial, less det if j is itself artificial
         art_rows = [tableau[r] for r, bc in enumerate(basis) if bc >= first_art]
-        enter = next(
-            (
-                j
-                for j in range(ncols)
-                if sum(row[j] for row in art_rows) > (det if j >= first_art else 0)
-            ),
-            None,
-        )
-        if enter is None:
-            return all(row[-1] == 0 for row in art_rows)
-        # a positive reduced cost needs a positive entry in some row
-        _, _, r = min(
-            (Fraction(row[-1], row[enter]), basis[rr], rr)
-            for rr, row in enumerate(tableau)
-            if row[enter] > 0
-        )
+        if not any(row[-1] for row in art_rows):
+            # every artificial is zero: this basis is already feasible
+            return True
+        # Bland: the first column whose reduced cost, times det, is positive:
+        # its sum over the rows with a basic artificial, less det if the
+        # column is itself artificial.  Reaching index ncols, the rhs, means
+        # there is none, so the artificial sum has a positive minimum.
+        for enter, col in enumerate(zip(*art_rows)):
+            if sum(col) > (det if enter >= first_art else 0):
+                break
+        if enter == ncols:
+            return False
+        # ratio test rhs/entry over the positive entries (a positive reduced
+        # cost needs one), ties to the smallest basic column; the quotients
+        # are compared cross-multiplied
+        r = None
+        for rr, row in enumerate(tableau):
+            e = row[enter]
+            if e > 0 and (
+                r is None
+                or row[-1] * e_best < rhs_best * e
+                or (row[-1] * e_best == rhs_best * e and basis[rr] < basis[r])
+            ):
+                r, e_best, rhs_best = rr, e, row[-1]
         pivot_row = tableau[r]
         piv = pivot_row[enter]
         for rr, row in enumerate(tableau):
             factor = row[enter]
             # a row without the entering column keeps its entries when the
-            # denominator does not change
-            if rr != r and (factor or piv != det):
+            # denominator does not change; a unit pivot on a unit
+            # denominator (most pivots of cone_implied) needs no division
+            if rr == r or not (factor or piv != det):
+                continue
+            if piv == det == 1:
+                tableau[rr] = [x - factor * p for x, p in zip(row, pivot_row)]
+            else:
                 tableau[rr] = [(piv * x - factor * p) // det for x, p in zip(row, pivot_row)]
         det = piv
         basis[r] = enter

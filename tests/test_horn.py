@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sunlr import horn
+from sunlr import generalized, horn
 from sunlr.errors import (
     BudgetExceededError,
     InvalidInputError,
@@ -102,6 +103,29 @@ def test_generate_T_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         in_cone([(1, 0)] * 4, 2, 4, "one", budget=4)
     assert horn._T_CACHE == before
+
+
+def test_candidates_validate_nothing(monkeypatch):
+    # a cold generate_T builds every attached sequence as a partition, so it
+    # runs no ChainProblem validation; the chain sums it runs are pinned
+    validated, chain_sums = [], []
+
+    def counting(calls, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(horn, "_T_CACHE", {})
+    monkeypatch.setattr(generalized, "_F_SUN_MEMO", {})
+    monkeypatch.setattr(generalized, "_validated", counting(validated, generalized._validated))
+    monkeypatch.setattr(
+        generalized, "cyclic_chain_sum", counting(chain_sums, generalized.cyclic_chain_sum)
+    )
+    generate_T(2, 6)
+    assert validated == []
+    assert len(chain_sums) == 1784
 
 
 def test_generate_T_closed_under_symmetry():
@@ -295,6 +319,22 @@ def test_minimal_facets_split_into_trivial_and_regular():
     trivial = [st for st in minimal if is_trivial_facet(st)]
     assert len(minimal) == len(regular) + len(trivial)
     assert len(trivial) == 6  # l(i)_2 >= 0 for each flag, up to the balance relation
+
+
+@pytest.mark.parametrize(
+    "n, m, count, digest",
+    [
+        (3, 4, 70, "bcf18aaa8698c0ecf9281be4e03c1fe7e4762a17180cb0a56457b6dde70c561d"),
+        (1, 10, 25, "fd012b49522c8208d0ad345531a8590fcc9a9b697d6379debb145a3cfa295528"),
+    ],
+)
+def test_minimal_facets_pinned(monkeypatch, n, m, count, digest):
+    # no golden data exists for these shapes: the subset lists are pinned by
+    # the sha256 of their repr
+    monkeypatch.setattr(horn, "_FACET_CACHE", {})
+    subsets = [st.subsets for st in minimal_facets(n, m)]
+    assert len(subsets) == count
+    assert hashlib.sha256(repr(subsets).encode()).hexdigest() == digest
 
 
 def test_verify_facets_2_6_bit_exact():

@@ -100,20 +100,62 @@ def test_cone_implied_basics():
     assert cone_implied((0, 0), [], [], 2)
 
 
+def implied_by_fm(c, gens, eqs, nv):
+    """c.x <= 0 is implied  <=>  no x with gens.x <= 0, eqs.x = 0, c.x >= 1.
+
+    Decided by Fourier-Motzkin, which shares no pivot loop with
+    ``cone_implied`` (the simplex would: both run ``_phase1``).
+    """
+    rows = [(r, 0) for r in gens] + [(tuple(-x for x in c), -1)]
+    rows += [(h, 0) for h in eqs] + [(tuple(-x for x in h), 0) for h in eqs]
+    return not fourier_motzkin_feasible(rows, nv)
+
+
+def degenerate(c, gens):
+    """c and gens with one of the degenerate draws applied, or unchanged.
+
+    c = 0 is implied before any pivot; c equal to a generator, or a
+    generator repeated, gives ties in the ratio test and zero-rhs pivots.
+    """
+    draw = random.randrange(4)
+    if draw == 0:
+        return tuple(0 for _ in c), gens
+    if draw == 1 and gens:
+        return random.choice(gens), gens
+    if draw == 2 and gens:
+        return c, gens + [random.choice(gens)] * random.randint(1, 2)
+    return c, gens
+
+
 def test_cone_implied_matches_primal_feasibility():
-    # c implied  <=>  no x with rows.x <= 0, eqs.x = 0, c.x >= 1
     random.seed(5)
-    for _ in range(120):
+    for _ in range(200):
         nv = random.randint(1, 4)
         gens = [tuple(random.randint(-2, 2) for _ in range(nv)) for _ in range(random.randint(0, 5))]
         eqs = [tuple(random.randint(-2, 2) for _ in range(nv)) for _ in range(random.randint(0, 2))]
         c = tuple(random.randint(-2, 2) for _ in range(nv))
-        primal = not simplex_feasible(
-            [(r, 0) for r in gens] + [(tuple(-x for x in c), -1)],
-            [(h, 0) for h in eqs],
-            nv,
-        )
-        assert cone_implied(c, gens, eqs, nv) == primal
+        c, gens = degenerate(c, gens)
+        assert cone_implied(c, gens, eqs, nv) == implied_by_fm(c, gens, eqs, nv), (c, gens, eqs)
+
+
+def test_cone_implied_degenerate_draws():
+    assert cone_implied((0, 0, 0), [], [], 3)
+    assert cone_implied((0, 0), [(1, -1)], [(2, 1)], 2)
+    assert cone_implied((1, -2), [(1, -2)], [], 2)
+    assert cone_implied((1, -2), [(1, -2), (1, -2), (0, 1)], [], 2)
+    assert not cone_implied((1, 0), [(0, 1), (0, 1)], [], 2)
+    assert cone_implied((2, 2), [(1, 1), (1, 1), (1, 0)], [(0, 1)], 2)
+
+
+def test_simplex_zero_rhs_is_feasible():
+    # x = 0 solves every homogeneous system: phase 1 exits before a pivot
+    random.seed(17)
+    for _ in range(60):
+        nv = random.randint(1, 4)
+        ineqs = [(tuple(random.randint(-3, 3) for _ in range(nv)), 0) for _ in range(random.randint(0, 6))]
+        eqs = [(tuple(random.randint(-3, 3) for _ in range(nv)), 0) for _ in range(random.randint(0, 3))]
+        assert simplex_feasible(ineqs, eqs, nv)
+        assert checked_feasible(ineqs, eqs, nv)
 
 
 def test_cone_implied_is_scale_invariant():
@@ -128,21 +170,16 @@ def test_cone_implied_is_scale_invariant():
         return tuple(int(x * mult) for x in v)
 
     random.seed(11)
-    for _ in range(80):
+    for _ in range(120):
         nv = random.randint(1, 4)
         gens = [rational(nv) for _ in range(random.randint(0, 5))]
         eqs = [rational(nv) for _ in range(random.randint(0, 2))]
-        c = rational(nv)
+        c, gens = degenerate(rational(nv), gens)
         value = cone_implied(c, gens, eqs, nv)
         scaled_gens = [integer_multiple(r) for r in gens]
         scaled_eqs = [integer_multiple(h, random.choice((-1, 1))) for h in eqs]
         assert cone_implied(integer_multiple(c), scaled_gens, scaled_eqs, nv) == value
-        primal = not simplex_feasible(
-            [(r, 0) for r in gens] + [(tuple(-x for x in c), -1)],
-            [(h, 0) for h in eqs],
-            nv,
-        )
-        assert value == primal
+        assert value == implied_by_fm(c, gens, eqs, nv)
 
 
 def test_fm_drops_unbounded_directions():
