@@ -52,7 +52,7 @@ class ProblemFile:
 
     def __init__(self, kind):
         self.kind = kind
-        self.n = self.m = self.N_max = self.r_max = 0
+        self.n = self.m = self.N_max = 0
         self.lambdas = self.subsets = None
         self.variant = "one"
         self.of = "f_sun"
@@ -158,8 +158,6 @@ def parse_problem(text: str, expected_kind=None) -> ProblemFile:
         if p.subsets is not None:
             if not isinstance(p.subsets, list) or not all(isinstance(s, list) for s in p.subsets):
                 raise InvalidInputError("field 'subsets' must be a list of lists")
-    if "r_max" in doc:
-        p.r_max = _int_field(doc, "r_max", kind)
     return p
 
 

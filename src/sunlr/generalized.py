@@ -46,7 +46,6 @@ from .partitions import (
     IntSeq,
     canonical,
     check_sequence,
-    is_partition,
     minimum,
     partitions_in_box,
     partitions_of_size_in_box,
@@ -90,7 +89,9 @@ class ChainProblem:
 
 
 def _validated(lambdas, n, kind):
-    return ChainProblem(kind, n, tuple(canonical(l) for l in lambdas))
+    """The canonical sequences, checked raw by ``ChainProblem``; None if one is not a partition."""
+    lams = tuple(map(canonical, ChainProblem(kind, n, tuple(lambdas)).lambdas))
+    return None if any(l and l[-1] < 0 for l in lams) else lams
 
 
 def _group_by_size(cands):
@@ -168,10 +169,8 @@ _F_SUN_MEMO: dict[tuple, int] = {}
 
 def f_sun(lambdas, n: int, budget=None) -> int:
     """The cyclic multiplicity for m even; 0 on non-partition input."""
-    p = _validated(lambdas, n, "f_sun")
-    if not all(is_partition(l) for l in p.lambdas):
-        return 0
-    return _f_sun_partitions(p.lambdas, budget)
+    lams = _validated(lambdas, n, "f_sun")
+    return 0 if lams is None else _f_sun_partitions(lams, budget)
 
 
 def _f_sun_partitions(lams, budget=None) -> int:
@@ -184,11 +183,10 @@ def _f_sun_partitions(lams, budget=None) -> int:
 
 def f1(lambdas, n: int, budget=None) -> int:
     """Open chain with merged ends: branching for the direct sum embedding."""
-    p = _validated(lambdas, n, "f1")
-    if not all(is_partition(l) for l in p.lambdas):
+    lams = _validated(lambdas, n, "f1")
+    if lams is None:
         return 0
-    lams = p.lambdas
-    m = p.m
+    m = len(lams)
     kernel = _lr_tableau_count
     box = (sum(l[0] for l in lams[:2] if l),) * (len(lams[0]) + len(lams[1]))
     if m > 4:
@@ -206,11 +204,10 @@ def f1(lambdas, n: int, budget=None) -> int:
 
 def f2(lambdas, n: int, budget=None) -> int:
     """Open chain pinned at both ends; tensor multiplicity for extremal weight crystals."""
-    p = _validated(lambdas, n, "f2")
-    if not all(is_partition(l) for l in p.lambdas):
+    lams = _validated(lambdas, n, "f2")
+    if lams is None:
         return 0
-    lams = p.lambdas
-    m = p.m
+    m = len(lams)
     if m == 3:
         return lr_coefficient(lams[0], lams[2], lams[1], n)
     # slot k feeds c^{lams[k]}_{a(k-1), a(k)} with a(0) = lams[0]; the closing

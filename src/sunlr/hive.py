@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import mul
 
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
@@ -156,75 +157,39 @@ def validate_sun_hive(h: SunHive, lambdas) -> bool:
     return True
 
 
-def count_sun_hives(lambdas, n: int, m=None, budget=None) -> int:
+def count_sun_hives(lambdas, n: int, *, budget=None) -> int:
     """Number of integral sun hives with the given boundary.
 
     Decomposes over shared-side chains; per-array counts come from the hive
     enumerator, never the tableau counter, so this is an oracle independent
     of the chain sum it must agree with.
     """
-    m = len(lambdas) if m is None else m
-    lams = [canonical(l) for l in _check_boundary(lambdas, n, m)]
-
-    def factor(a, b, nu):
-        return lr_hive_count(a, b, nu, n)
-
-    return cyclic_chain_sum(tuple(lams), factor, budget=budget)
+    lams = tuple(canonical(l) for l in _check_boundary(lambdas, n, len(lambdas)))
+    return cyclic_chain_sum(lams, lambda a, b, nu: lr_hive_count(a, b, nu, n), budget=budget)
 
 
 def iter_sun_hives(lambdas, n: int):
     """Yield every integral sun hive with the given boundary (small cases).
 
-    Chains of shared sides are enumerated first; each chain contributes the
-    cartesian product of per-array hive labelings.
+    Chains of shared sides are enumerated first, slot by slot with their
+    sizes forced; each chain contributes the cartesian product of per-array
+    hive labelings.
     """
     m = len(lambdas)
     lams = [canonical(l) for l in _check_boundary(lambdas, n, m)]
     cands = cyclic_slot_candidates(lams)
     if cands is None:
         return
-
-    def chains(i, chain):
-        if i == m:
-            yield tuple(chain)
-            return
-        need = size(lams[i - 1]) - size(chain[-1])
-        for a in cands[i]:
-            if size(a) == need:
-                chain.append(a)
-                yield from chains(i + 1, chain)
-                chain.pop()
-
-    for a0 in cands[0]:
-        for chain in chains(1, [a0]):
-            if size(chain[-1]) + size(chain[0]) != size(lams[m - 1]):
-                continue
-            per_array = []
-            dead = False
-            for r in range(m):
-                labelings = list(iter_lr_hives(chain[r], chain[(r + 1) % m], lams[r], n))
-                if not labelings:
-                    dead = True
-                    break
-                per_array.append(labelings)
-            if dead:
-                continue
-            idx = [0] * m
-            while True:
-                arrays = [
-                    TriangularHive(n, *[[row[:] for row in part] for part in per_array[r][idx[r]]])
-                    for r in range(m)
-                ]
-                yield SunHive(n, m, arrays)
-                pos = m - 1
-                while pos >= 0:
-                    idx[pos] += 1
-                    if idx[pos] < len(per_array[pos]):
-                        break
-                    idx[pos] = 0
-                    pos -= 1
-                if pos < 0:
-                    break
+    chains = [(a,) for a in cands[0]]
+    for i in range(1, m):
+        chains = [c + (a,) for c in chains for a in cands[i] if size(c[-1]) + size(a) == size(lams[i - 1])]
+    for chain in chains:
+        if size(chain[-1]) + size(chain[0]) != size(lams[-1]):
+            continue
+        per_array = [list(iter_lr_hives(chain[r], chain[(r + 1) % m], lams[r], n)) for r in range(m)]
+        for labelings in product(*per_array):
+            arrays = [TriangularHive(n, *[[row[:] for row in part] for part in lab]) for lab in labelings]
+            yield SunHive(n, m, arrays)
 
 
 @dataclass

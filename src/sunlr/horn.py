@@ -171,7 +171,8 @@ def underline_lambda(subsets, n: int) -> tuple[IntSeq, ...]:
 
 # (n, m, variant) -> the generate_T list; ("candidates", n, m) -> the
 # classification both variants filter; ("rows", n, m, variant) -> in_cone's
-# index rows.  Every Horn cache lives here, so clearing it is a cold start.
+# index rows.  ``_FACET_CACHE`` below holds the minimal_facets lists; a cold
+# start clears both.
 _T_CACHE: dict[tuple, tuple] = {}
 
 
@@ -181,11 +182,10 @@ def _candidates(n: int, m: int) -> tuple:
     A candidate is a subset tuple with some |I_i| < n whose attached
     sequences are all partitions.  Even flags attach a padded conjugate,
     always a partition; odd flag i attaches it minus c_i, a partition iff
-    its last entry is >= c_i.  The chain sums run in ascending total subset
-    size, so that small evaluations warm the memo table first; they enter
-    the memo of ``f_sun`` without its validation, as every sequence built
-    here is a partition with fewer than n parts.  Both variants keep only
-    nonzero values, so the zeros are not stored.
+    its last entry is >= c_i.  The chain sums enter the memo of ``f_sun``
+    without its validation, as every sequence built here is a partition
+    with fewer than n parts.  Both variants keep only nonzero values, so
+    the zeros are not stored.
     """
     key = ("candidates", n, m)
     hit = _T_CACHE.get(key)
@@ -195,7 +195,7 @@ def _candidates(n: int, m: int) -> tuple:
     padded = {s: _padded_conjugate(s, n) for s in subsets}
     full = (subsets[-1],) * m
     classified = []
-    for subs in sorted(product(subsets, repeat=m), key=lambda subs: (sum(map(len, subs)), subs)):
+    for subs in product(subsets, repeat=m):
         if subs == full:
             continue
         under = []
@@ -374,16 +374,11 @@ def factorization_check(lambdas, subsets, n: int, budget=None) -> dict:
     }
 
 
-def find_tight_tuples(lambdas, n: int, m: int, variant="one", nonempty=True, budget=None):
-    """All T-tuples whose inequality is tight for this integer tuple."""
+def find_tight_tuples(lambdas, n: int, m: int, *, budget=None):
+    """All nonempty minimal-candidate tuples whose inequality is tight for this integer tuple."""
     full = [pad(check_partition(l), n) for l in lambdas]
-    out = []
-    for st in generate_T(n, m, variant, budget=budget):
-        if nonempty and all(len(s) == 0 for s in st.subsets):
-            continue
-        if HornInequality(st).slack(full) == 0:
-            out.append(st)
-    return out
+    tuples = generate_T(n, m, budget=budget)
+    return [st for st in tuples if any(st.subsets) and HornInequality(st).slack(full) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +468,6 @@ def minimal_facets(n: int, m: int, budget=None) -> list[SubsetTuple]:
     return list(kept)
 
 
-def _beta_totals(subsets, n):
-    """(sum of beta_I over vertices, sum of beta over vertices)."""
-    total = sum(n - z + 1 for s in subsets for z in s)
-    full = len(subsets) * n * (n + 1) // 2
-    return total, full
-
-
 def is_trivial_facet(st: SubsetTuple) -> bool:
     """Facets whose dimension vector or its complement is a simple root.
 
@@ -487,8 +475,9 @@ def is_trivial_facet(st: SubsetTuple) -> bool:
     chamber conditions plus l(i)_n >= 0) and are excluded from the regular
     facet list.
     """
-    total, full = _beta_totals(st.subsets, st.n)
-    return total == 1 or total == full - 1
+    # beta_I summed over all vertices; beta itself sums to m n (n + 1) / 2
+    total = sum(st.n - z + 1 for s in st.subsets for z in s)
+    return total in (1, st.m * st.n * (st.n + 1) // 2 - 1)
 
 
 def regular_facets(n: int, m: int, budget=None) -> list[SubsetTuple]:
@@ -515,39 +504,24 @@ def facets_2_6_closure() -> list[SubsetTuple]:
     return [SubsetTuple(subs, 2) for subs in sorted(out)]
 
 
-def beta1_printed_projections(beta_flags):
-    """Row-order projections of a (2,6) dimension vector as the diagrams print it.
-
-    ``beta_flags[i-1] = (value at the outer vertex, value at the central
-    vertex)`` of flag i.  The printed row order visits flags 3, 2, 4, 1, 5, 6.
-    """
-    order = (3, 2, 4, 1, 5, 6)
-    outer = [beta_flags[i - 1][0] for i in order]
-    central = [beta_flags[i - 1][1] for i in order]
-    return outer, central
-
-
 def facet_record(st: SubsetTuple, ident: int) -> dict:
     """Canonical JSON record for one facet of the (2, 6) cone."""
-    n, m = st.n, st.m
-    beta_flags = []
-    for subset in st.subsets:
-        vals = []
-        count = 0
-        for j in range(1, n + 1):
-            if j in subset:
-                count += 1
-            vals.append(count)
-        beta_flags.append(tuple(vals))
-    outer, central = beta1_printed_projections(beta_flags)
+    # the dimension vector along each flag, outer vertex first
+    beta_flags = [[sum(1 for z in s if z <= j) for j in range(1, st.n + 1)] for s in st.subsets]
+    order = (3, 2, 4, 1, 5, 6)  # the row order of the flags in the printed diagrams
     return {
         "id": ident,
         "subsets": [list(s) for s in st.subsets],
         "inequality": HornInequality(st).schema(),
-        "beta1_flags": [list(v) for v in beta_flags],
-        "beta1_outer_as_printed": outer,
-        "beta1_central_as_printed": central,
+        "beta1_flags": beta_flags,
+        "beta1_outer_as_printed": [beta_flags[i - 1][0] for i in order],
+        "beta1_central_as_printed": [beta_flags[i - 1][1] for i in order],
     }
+
+
+def _by_orbit(records) -> dict:
+    """Facet records keyed by the canonical representative of their orbit; a later record wins."""
+    return {canonical_orbit_representative(tuple(map(tuple, rec["subsets"])), 6): rec for rec in records}
 
 
 def computed_facets_2_6(budget=None) -> dict:
@@ -558,18 +532,12 @@ def computed_facets_2_6(budget=None) -> dict:
     """
     facets = regular_facets(2, 6, budget=budget)
     golden = facets_2_6_golden()
-    golden_by_rep = {}
-    for rec in golden["facets"]:
-        subs = tuple(tuple(s) for s in rec["subsets"])
-        golden_by_rep[canonical_orbit_representative(subs, 6)] = subs
-    seen = {}
-    for st in facets:
-        rep = canonical_orbit_representative(st.subsets, 6)
-        seen.setdefault(rep, rep)
-    records = []
-    for k, rep in enumerate(sorted(seen), start=1):
-        chosen = golden_by_rep.get(rep, rep)
-        records.append(facet_record(SubsetTuple(chosen, 2), k))
+    printed = _by_orbit(golden["facets"])
+    reps = sorted({canonical_orbit_representative(st.subsets, 6) for st in facets})
+    records = [
+        facet_record(SubsetTuple(tuple(map(tuple, printed[rep]["subsets"])) if rep in printed else rep, 2), k)
+        for k, rep in enumerate(reps, start=1)
+    ]
     return {
         "version": golden["version"],
         "n": 2,
@@ -583,33 +551,19 @@ def computed_facets_2_6(budget=None) -> dict:
 def verify_facets_2_6(budget=None) -> dict:
     """Bit-exact comparison of recomputed facet data against the golden file.
 
-    The golden records are re-keyed by orbit so the comparison does not
-    depend on which representative the publication printed.
+    Both record lists are keyed by orbit, so the comparison does not depend
+    on which representative the publication printed, and ``id`` is ignored.
     """
-    golden = facets_2_6_golden()
-    computed = computed_facets_2_6(budget=budget)
-    golden_orbits = {
-        canonical_orbit_representative(tuple(tuple(s) for s in rec["subsets"]), 6): rec
-        for rec in golden["facets"]
-    }
-    computed_orbits = {
-        canonical_orbit_representative(tuple(tuple(s) for s in rec["subsets"]), 6): rec
-        for rec in computed["facets"]
-    }
-    match = set(golden_orbits) == set(computed_orbits)
-    exact = match
-    if match:
-        for rep, grec in golden_orbits.items():
-            crec = computed_orbits[rep]
-            gnorm = {k: v for k, v in grec.items() if k != "id"}
-            cnorm = {k: v for k, v in crec.items() if k != "id"}
-            if json.dumps(gnorm, sort_keys=True) != json.dumps(cnorm, sort_keys=True):
-                exact = False
-                break
+    golden = _by_orbit(facets_2_6_golden()["facets"])
+    computed = _by_orbit(computed_facets_2_6(budget=budget)["facets"])
+    # compared as copies with the ids blanked: the printed numbering may differ
+    passed = golden.keys() == computed.keys() and all(
+        {**golden[r], "id": 0} == {**computed[r], "id": 0} for r in golden
+    )
     return {
-        "passed": exact,
-        "golden_count": len(golden_orbits),
-        "computed_count": len(computed_orbits),
-        "missing": [list(map(list, rep)) for rep in sorted(set(golden_orbits) - set(computed_orbits))],
-        "extra": [list(map(list, rep)) for rep in sorted(set(computed_orbits) - set(golden_orbits))],
+        "passed": passed,
+        "golden_count": len(golden),
+        "computed_count": len(computed),
+        "missing": [list(map(list, rep)) for rep in sorted(golden.keys() - computed.keys())],
+        "extra": [list(map(list, rep)) for rep in sorted(computed.keys() - golden.keys())],
     }

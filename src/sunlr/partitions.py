@@ -15,7 +15,7 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, zip_longest
 
 from .errors import InvalidInputError
 
@@ -37,10 +37,13 @@ def is_weakly_decreasing(seq) -> bool:
 
 
 def check_sequence(seq, name="sequence") -> IntSeq:
-    """Validate weak decrease and return the canonical form."""
-    if not is_weakly_decreasing(seq):
-        raise InvalidInputError(f"{name} {list(seq)} is not weakly decreasing")
-    return canonical(seq)
+    """Validate integer entries and weak decrease; return the canonical form."""
+    parts = tuple(seq)
+    if not all(type(x) is int for x in parts):
+        raise InvalidInputError(f"{name} {list(parts)} must contain integers only")
+    if not is_weakly_decreasing(parts):
+        raise InvalidInputError(f"{name} {list(parts)} is not weakly decreasing")
+    return canonical(parts)
 
 
 def check_partition(seq, name="partition") -> IntSeq:
@@ -88,12 +91,7 @@ def conjugate(lam) -> IntSeq:
 
 def contains(alpha, lam) -> bool:
     """Componentwise alpha_i <= lam_i after zero padding (Young diagram containment)."""
-    a = canonical(alpha)
-    b = canonical(lam)
-    width = max(len(a), len(b))
-    a = a + (0,) * (width - len(a))
-    b = b + (0,) * (width - len(b))
-    return all(x <= y for x, y in zip(a, b))
+    return all(x <= y for x, y in zip_longest(canonical(alpha), canonical(lam), fillvalue=0))
 
 
 def stretch(seq, r: int) -> IntSeq:
@@ -131,12 +129,7 @@ def lambda_of_sorted_set(elems) -> IntSeq:
 
 def minimum(lam, mu) -> IntSeq:
     """Componentwise minimum after zero padding (intersection of diagrams)."""
-    a = canonical(lam)
-    b = canonical(mu)
-    width = max(len(a), len(b))
-    a = a + (0,) * (width - len(a))
-    b = b + (0,) * (width - len(b))
-    return canonical(min(x, y) for x, y in zip(a, b))
+    return canonical(min(x, y) for x, y in zip_longest(canonical(lam), canonical(mu), fillvalue=0))
 
 
 def partitions_in_box(bound) -> list[IntSeq]:

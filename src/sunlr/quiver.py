@@ -113,7 +113,12 @@ def weight_sigma1(lambdas, n: int) -> VertexMap:
     full = []
     for idx, lam in enumerate(lambdas, start=1):
         parts = check_sequence(lam, f"lambda({idx})")
-        full.append(pad(parts, n) if not parts or parts[-1] >= 0 else _pad_signed(parts, n, idx))
+        signed = parts and parts[-1] < 0
+        if signed and len(parts) != n:
+            raise InvalidInputError(
+                f"lambda({idx}) = {list(parts)} has negative tail but fewer than n={n} parts"
+            )
+        full.append(parts if signed else pad(parts, n))
     sigma: VertexMap = {}
     for i in range(1, m + 1):
         lam = full[i - 1]
@@ -122,14 +127,6 @@ def weight_sigma1(lambdas, n: int) -> VertexMap:
             sigma[(j, i)] = sgn * (lam[j - 1] - lam[j])
         sigma[(n, i)] = sgn * lam[n - 1]
     return sigma
-
-
-def _pad_signed(parts, n, idx):
-    if len(parts) != n:
-        raise InvalidInputError(
-            f"lambda({idx}) = {list(parts)} has negative tail but fewer than n={n} parts"
-        )
-    return parts
 
 
 def dim_si_sun(Q: SunQuiver, sigma: VertexMap) -> int:

@@ -248,3 +248,13 @@ def test_saturation_property(lams, r):
     base = f_sun(lams, 2)
     stretched = f_sun([stretch(l, r) for l in lams], 2)
     assert (base != 0) == (stretched != 0)
+
+
+@pytest.mark.parametrize("entry", [1.5, "2", True, 1.0])
+def test_chain_sums_refuse_non_integer_entries(entry):
+    # checked on the raw sequences: canonical would truncate 1.5 and parse "2"
+    for fn, m in ((f_sun, 4), (f1, 4), (f2, 3)):
+        with pytest.raises(InvalidInputError, match="integers only"):
+            fn([(entry,)] * m, 1)
+    with pytest.raises(InvalidInputError, match="integers only"):
+        ChainProblem("f_sun", 1, ((entry,),) * 4)

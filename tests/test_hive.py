@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -331,3 +332,41 @@ def test_sun_hives_satisfy_the_built_and_reduced_systems():
             assert all(hive._evaluate(form, beta) == 0 for form in reduced.eqs)
             seen += 1
         assert seen == f_sun(lams, n) > 0, lams
+
+
+@pytest.mark.parametrize(
+    "lams, n, count, digest",
+    [
+        ([(1, 0)] * 6, 2, 2, "e4e5bcd64343485bbffda47f2c72c56fbe42d5e23b0a32a22693b91a3a0c591e"),
+        (
+            [(2, 1), (2, 1), (1, 1), (1, 1), (1, 0), (1, 0)],
+            2,
+            3,
+            "d00c54269546108f27cd6981bad404dc9d17ee1895a3acfbcf67959bb02fd2cc",
+        ),
+        (
+            [(1, 1, 0), (1, 0, 0), (1, 0, 0), (1, 1, 0)],
+            3,
+            2,
+            "8f8188dc5630002efcb39348e548eba14b8958d517eafd68af4940485144d431",
+        ),
+        ([(2, 1, 0)] * 4, 3, 10, "9c8d05401d2ca62c4fb8cf4cc9354acd9de77825ca58f1e214b935467dae3208"),
+        ([(3, 2, 1)] * 4, 3, 148, "31de8977e47ba8fc2da8ad36315d38a65830b1eb6f0dbf04cd868842e20713ac"),
+        # unbalanced: odd sizes 3, even sizes 2
+        ([(2,), (1,), (1,), (1,)], 2, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ],
+)
+def test_iter_sun_hives_pinned(lams, n, count, digest):
+    # the yielded sequence is pinned by the sha256 of repr of each hive's (e, f, g) arrays
+    hives = [[(a.e, a.f, a.g) for a in h.arrays] for h in iter_sun_hives(lams, n)]
+    assert len(hives) == count
+    assert len({repr(h) for h in hives}) == count
+    assert hashlib.sha256(repr(hives).encode()).hexdigest() == digest
+
+
+def test_non_integer_entries_are_refused():
+    for lams in ([(True,)] * 4, [(1.5,)] * 4, [("1",)] * 4):
+        with pytest.raises(InvalidInputError, match="integers only"):
+            positivity(lams, 1)
+        with pytest.raises(InvalidInputError, match="integers only"):
+            count_sun_hives(lams, 1)

@@ -341,3 +341,64 @@ def test_verify_facets_2_6_bit_exact():
     rep = verify_facets_2_6()
     assert rep["passed"], rep
     assert rep["golden_count"] == rep["computed_count"] == 14
+
+
+def _set_flag(facets):
+    facets[2]["beta1_flags"][3][1] = 0
+
+
+def _drop_record_6(facets):
+    del facets[5]
+
+
+def _flip_inequality(facets):
+    facets[0]["inequality"] = facets[0]["inequality"].replace("<=", ">=")
+
+
+def _renumber(facets):
+    facets[4]["id"] = 99
+
+
+def _move_to_other_orbit(facets):
+    facets[1]["subsets"] = [[1], [1], [], [], [], []]
+
+
+def _payload(passed, golden=14, missing=(), extra=()):
+    return {
+        "passed": passed,
+        "golden_count": golden,
+        "computed_count": 14,
+        "missing": list(missing),
+        "extra": list(extra),
+    }
+
+
+@pytest.mark.parametrize(
+    "alter, expected",
+    [
+        (_set_flag, _payload(False)),
+        (_drop_record_6, _payload(False, golden=13, extra=[[[], [], [1, 2], [1, 2], [1, 2], []]])),
+        (_flip_inequality, _payload(False)),
+        (_renumber, _payload(True)),
+        (
+            _move_to_other_orbit,
+            _payload(False, missing=[[[], [], [], [], [1], [1]]], extra=[[[], [], [1], [2], [2], []]]),
+        ),
+    ],
+)
+def test_verify_facets_2_6_on_altered_golden_data(monkeypatch, alter, expected):
+    # one change to a copy of the golden data: only a changed id still passes
+    original = horn.facets_2_6_golden
+    returned = []
+
+    def altered():
+        data = original()
+        alter(data["facets"])
+        returned.append(data)
+        return data
+
+    monkeypatch.setattr(horn, "facets_2_6_golden", altered)
+    assert verify_facets_2_6() == expected
+    fresh = original()
+    alter(fresh["facets"])
+    assert returned == [fresh, fresh]  # neither read was modified by the check

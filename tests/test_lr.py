@@ -124,3 +124,12 @@ def test_rectangular_matches_lr():
 def test_memo_is_keyed_on_normalized_triple():
     # two presentations of the same query must agree
     assert lr_coefficient((1, 0), (1, 1), (2, 1), 3) == lr_coefficient((1,), (1, 1), (2, 1, 0), 3)
+
+
+def test_non_integer_entries_are_refused():
+    # a truncating int() would read (1.7,) as (1,) and give 1
+    for args in (((1.7,), (1,), (2,)), ((1,), ("1",), (2,)), ((1,), (1,), (2.0,)), ((True,), (1,), (2,))):
+        with pytest.raises(InvalidInputError, match="integers only"):
+            lr_coefficient(*args, 1)
+        with pytest.raises(InvalidInputError, match="integers only"):
+            lr_hive_count(*args, 1)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from sunlr.errors import InvalidInputError
 from sunlr.partitions import (
     canonical,
+    check_sequence,
     conjugate,
     contains,
     lambda_of_set,
@@ -106,3 +109,16 @@ def test_partitions_of_size_consistency(total):
     by_filter = [p for p in partitions_in_box(box) if size(p) == total]
     direct = partitions_of_size_in_box(total, box)
     assert sorted(by_filter) == sorted(direct)
+
+
+@pytest.mark.parametrize("seq", [(1.5,), ("2",), (True,), (2, 1.0), (Fraction(1),)])
+def test_check_sequence_refuses_non_integer_entries(seq):
+    with pytest.raises(InvalidInputError, match="integers only"):
+        check_sequence(seq)
+
+
+def test_check_sequence_returns_the_canonical_form():
+    assert check_sequence([2, 1, 0, 0]) == (2, 1)
+    assert check_sequence((0, -1)) == (0, -1)
+    with pytest.raises(InvalidInputError, match="weakly decreasing"):
+        check_sequence((1, 2))

@@ -182,3 +182,16 @@ def test_fundamental_region():
     disconnected[(1, 3)] = 1
     assert not is_fundamental_schur(Q, disconnected)
 
+
+
+def test_weight_sigma1_signed_and_non_integer_sequences():
+    # a negative tail is kept as given when it has exactly n parts
+    s = weight_sigma1([(1, -1)] * 4, 2)
+    assert [s[(1, i)] for i in range(1, 5)] == [-2, 2, -2, 2]
+    assert [s[(2, i)] for i in range(1, 5)] == [1, -1, 1, -1]
+    with pytest.raises(InvalidInputError, match="negative tail"):
+        weight_sigma1([(0, -1)] * 4, 3)
+    with pytest.raises(InvalidInputError, match="more than"):
+        weight_sigma1([(1, 1, 1)] * 4, 2)
+    with pytest.raises(InvalidInputError, match="integers only"):
+        weight_sigma1([(1.5,)] * 4, 1)
