@@ -53,6 +53,7 @@ from .partitions import (
     IntSeq,
     canonical,
     check_partition,
+    check_sequence,
     check_subset,
     conjugate,
     is_partition,
@@ -311,7 +312,7 @@ def saturation_report(lambdas, n: int, r_max: int, budget=None) -> dict:
     """Evaluate the chain sum on r*lambdas for r = 1..r_max and compare statuses."""
     if r_max < 2:
         raise InvalidInputError(f"r_max must be >= 2, got {r_max}")
-    lams = tuple(canonical(l) for l in lambdas)
+    lams = tuple(check_sequence(l, f"lambda({i})") for i, l in enumerate(lambdas, start=1))
     values = [f_sun(tuple(stretch(l, r) for l in lams), n, budget=budget) for r in range(1, r_max + 1)]
     statuses = {v > 0 for v in values}
     return {"values": values, "passed": len(statuses) == 1}
@@ -532,12 +533,9 @@ def computed_facets_2_6(budget=None) -> dict:
     """
     facets = regular_facets(2, 6, budget=budget)
     golden = facets_2_6_golden()
-    printed = _by_orbit(golden["facets"])
+    printed = {rep: tuple(map(tuple, rec["subsets"])) for rep, rec in _by_orbit(golden["facets"]).items()}
     reps = sorted({canonical_orbit_representative(st.subsets, 6) for st in facets})
-    records = [
-        facet_record(SubsetTuple(tuple(map(tuple, printed[rep]["subsets"])) if rep in printed else rep, 2), k)
-        for k, rep in enumerate(reps, start=1)
-    ]
+    records = [facet_record(SubsetTuple(printed.get(rep, rep), 2), k) for k, rep in enumerate(reps, start=1)]
     return {
         "version": golden["version"],
         "n": 2,

@@ -16,6 +16,7 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 from itertools import product, zip_longest
+from operator import ge
 
 from .errors import InvalidInputError
 
@@ -33,7 +34,7 @@ def canonical(seq) -> IntSeq:
 
 def is_weakly_decreasing(seq) -> bool:
     parts = tuple(seq)
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+    return all(map(ge, parts, parts[1:]))
 
 
 def check_sequence(seq, name="sequence") -> IntSeq:

@@ -225,6 +225,8 @@ def test_saturation_report_examples():
     assert rep == {"values": [1, 1, 1], "passed": True}
     with pytest.raises(InvalidInputError):
         saturation_report([(1,)] * 4, 1, 1)
+    with pytest.raises(InvalidInputError, match="integers only"):
+        saturation_report([(1.5,)] * 4, 1, 2)  # not read as (1,)
 
 
 def test_factorization_zero_tuple():
