@@ -48,7 +48,7 @@ from .errors import (
     WallPreconditionError,
 )
 from .generalized import _f_sun_partitions, f_sun
-from .linprog import cone_implied
+from .linprog import cone_columns, cone_implied
 from .partitions import (
     IntSeq,
     canonical,
@@ -246,6 +246,9 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
 
 
 def _rational(x):
+    """An int entry as it is; a Fraction or "p/q" string as a Fraction."""
+    if type(x) is int:
+        return x
     try:
         if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
             return Fraction(x)
@@ -263,7 +266,7 @@ def check_rational_tuple(lambdas, n: int, m: int):
         vals = [_rational(x) for x in lam]
         if len(vals) > n:
             raise InvalidInputError(f"lambda({idx}) has more than n={n} entries")
-        vals = vals + [Fraction(0)] * (n - len(vals))
+        vals = vals + [0] * (n - len(vals))
         if any(vals[i] < vals[i + 1] for i in range(n - 1)):
             raise InvalidInputError(
                 f"lambda({idx}) = {lam} is not weakly decreasing after zero padding"
@@ -445,25 +448,37 @@ def minimal_facets(n: int, m: int, budget=None) -> list[SubsetTuple]:
     other candidate rows, the chamber rows, and the balance equality; for a
     full-dimensional cone this is exactly the facet list.  Redundancy is a
     symmetry-invariant, so only one representative per orbit is solved.
+
+    The columns of these LPs are built once, and an orbit found redundant
+    leaves every later LP.  That changes no answer: the cone the rows span
+    is pointed modulo the balance row (the cone K(n, m) they cut out is
+    full-dimensional in the balance hyperplane), and no two rows are
+    parallel modulo it (each row has entries in {0, 1, -1}, of one sign
+    per flag for a candidate and of both signs in one flag for a chamber
+    row).  So each extreme ray holds exactly one row, which is never found
+    redundant, and every other row is a nonnegative combination of those
+    extreme rows.
     """
     key = (n, m)
     if key in _FACET_CACHE:
         return list(_FACET_CACHE[key])
     tuples = generate_T(n, m, "one", budget=budget)
     vectors = {st.subsets: HornInequality(st).coefficient_vector() for st in tuples}
-    chamber = _chamber_rows(n, m)
-    balance = _balance_row(n, m)
+    live = dict(zip(vectors, cone_columns(vectors.values(), [])))
+    fixed = cone_columns(_chamber_rows(n, m), [_balance_row(n, m)])
     by_orbit: dict[tuple, list[SubsetTuple]] = {}
     for st in tuples:
         by_orbit.setdefault(canonical_orbit_representative(st.subsets, m), []).append(st)
     kept = []
-    for rep, members in by_orbit.items():
-        target = vectors[members[0].subsets]
-        if not any(target):
-            continue
-        others = [v for key2, v in vectors.items() if key2 != members[0].subsets] + chamber
-        if not cone_implied(target, others, [balance], n * m):
+    for members in by_orbit.values():
+        rep = members[0].subsets
+        target = vectors[rep]
+        others = [col for key2, col in live.items() if key2 != rep] + fixed
+        if any(target) and not cone_implied(target, others):
             kept.extend(members)
+        else:
+            for st in members:
+                del live[st.subsets]
     kept.sort(key=lambda st: st.subsets)
     _FACET_CACHE[key] = tuple(kept)
     return list(kept)

@@ -15,26 +15,35 @@ later step computes in Python integers; no Fraction is made here.
 * ``cone_implied`` decides whether c.x <= 0 follows from a homogeneous
   system {rows.x <= 0, eqs.x = 0}; by LP duality this is membership of c in
   the cone spanned by the rows plus the span of the equalities, solved as a
-  small phase-1 problem in the dual (one equation per ambient coordinate).
+  small phase-1 problem in the dual (one equation per ambient coordinate,
+  one variable per column of ``cone_columns(rows, eqs)``, which a caller
+  can build once for many targets).
 * ``fourier_motzkin_feasible`` decides Ax <= b by variable elimination.  It
   is exponential in the worst case and no route of the package uses it: it
   is the reference the tests compare the simplex and ``cone_implied``
   against, sharing no arithmetic with either.
 
-The simplex and ``cone_implied`` share one pivot loop, ``_phase1``.  Its
-tableau is fraction-free: integer entries over one positive common
-denominator, updated by exact-division pivots (Edmonds 1967, Bareiss 1968),
-so every entry is a minor of the input and the numbers stay small.  The
-pivoting rule is Bland's, as in a rational tableau; the ratio test compares
+The simplex and ``cone_implied`` share one pivot loop, ``_phase1``, a
+revised simplex (Chvatal 1983) over sparse columns ``(indices, values)``.
+It never forms the tableau: it keeps det B^-1 by columns and det B^-1 b,
+prices a column as one dot product with the sum of the rows of det B^-1
+that hold an artificial variable, and forms only the entering column.
+Both are kept fraction-free: integers over one positive common denominator
+``det``, updated by exact-division pivots (Edmonds 1967, Bareiss 1968), so
+every entry is a minor of the input and the numbers stay small.  The pivoting
+rule is Bland's, as in a rational tableau; the ratio test compares
 rhs/entry quotients cross-multiplied.  Phase 1 stops at the first basis in
 which every artificial variable is zero: that basis is feasible, and the
-pivots Bland's rule would still take from it are degenerate.
+pivots Bland's rule would still take from it are degenerate.  Its pivots
+are those of the dense fraction-free tableau, which the tests keep as its
+reference.
 Rows are dense sequences of length nvars; a constraint is (coeffs, rhs).
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InvalidInputError
 
@@ -176,74 +185,106 @@ def fourier_motzkin_feasible(ineqs, nvars) -> bool:
             raise InvalidInputError(f"Fourier-Motzkin exceeded {_FM_MAX_ROWS} rows")
 
 
-def _phase1(rows, basis, ncols) -> bool:
-    """Whether the equations ``rows`` have a solution in ncols nonnegative variables.
+def _sparse(vec):
+    """The nonzero entries of an integer vector as a column (indices, values)."""
+    idx = tuple(k for k, x in enumerate(vec) if x)
+    return idx, tuple(vec[k] for k in idx)
 
-    Each row is ``[coefficients..., rhs]`` of ints.  ``basis[r]`` is a
-    column that is the unit vector of row r (a slack), or None.  Rows with a
-    negative rhs are negated and lose their slack; every row without one
-    gets an artificial variable.  Phase 1 then minimizes the sum of the
-    artificials, with Bland's rule (smallest entering column, ties in the
-    ratio test to the smallest basic column) so that it cannot cycle, until
-    every artificial is zero (feasible) or no column can enter (infeasible).
 
-    The tableau is kept fraction-free: the true entries are the integer
-    entries over ``det``, the last pivot entry, which is the absolute value
-    of the basis determinant; every entry is then a minor of the starting
-    tableau, so the division in each update is exact.
+def _pivot(vec, col, r, piv, det):
+    """``vec``, a column of inv or beta, after the pivot on entry r of ``col``.
+
+    Every entry but the one in the pivot row becomes (piv x - p c) / det,
+    with p the entry of ``vec`` in that row, which stays.
     """
-    for r, row in enumerate(rows):
-        if row[-1] < 0:
-            rows[r] = [-x for x in row]
+    p = vec[r]
+    # zero in the pivot row: no change while the denominator does not
+    # change; a unit pivot on a unit denominator (most pivots of
+    # cone_implied) needs no division
+    if not p:
+        return vec if piv == det else [piv * x // det for x in vec]
+    if piv == det == 1:
+        new = [x - p * c for x, c in zip(vec, col)]
+    else:
+        new = [(piv * x - p * c) // det for x, c in zip(vec, col)]
+    new[r] = p
+    return new
+
+
+def _phase1(columns, rhs, basis) -> bool:
+    """Whether sum_j x_j columns[j] = rhs has a solution with every x_j >= 0.
+
+    ``columns[j]`` is a sparse column ``(indices, values)`` of ints over the
+    len(rhs) equations and ``rhs`` a list of ints; neither is modified.
+    ``basis[r]`` is a column that is the unit vector of row r (a slack), or
+    None.  Rows with a negative rhs are negated and lose their slack; every
+    row without one gets an artificial variable, numbered after the columns
+    in row order.  Phase 1 then minimizes the sum of the artificials, with
+    Bland's rule (smallest entering column, ties in the ratio test to the
+    smallest basic column) so that it cannot cycle, until every artificial
+    is zero (feasible) or no column can enter (infeasible).  ``basis`` is
+    updated in place and ends as the last basis.
+
+    The simplex is revised and fraction-free.  With B the basis of the
+    system with its rows negated as above and S the diagonal of row signs,
+    it keeps ``inv`` = det B^-1 S by columns and ``beta`` = det B^-1 S rhs,
+    where ``det``, the last pivot entry, is |det B|.  Column j of the
+    tableau is then inv a_j, every entry is a minor of the input, and each
+    update divides exactly.
+    """
+    m = len(rhs)
+    first_art = len(columns)
+    sign = [1] * m
+    for r, b in enumerate(rhs):
+        if b < 0:
+            sign[r] = -1
             basis[r] = None
+    beta = [abs(b) for b in rhs]
+    inv = [[0] * m for _ in range(m)]
+    for i in range(m):
+        inv[i][i] = sign[i]
     needs_art = [r for r, bc in enumerate(basis) if bc is None]
-    tableau = [row[:-1] + [0] * len(needs_art) + row[-1:] for row in rows]
-    first_art = ncols
     for k, r in enumerate(needs_art):
-        tableau[r][first_art + k] = 1
         basis[r] = first_art + k
-    ncols += len(needs_art)
     det = 1
 
     while True:
-        art_rows = [tableau[r] for r, bc in enumerate(basis) if bc >= first_art]
-        if not any(row[-1] for row in art_rows):
+        art = [r for r, bc in enumerate(basis) if bc >= first_art]
+        if not any(beta[r] for r in art):
             # every artificial is zero: this basis is already feasible
             return True
         # Bland: the first column whose reduced cost, times det, is positive:
-        # its sum over the rows with a basic artificial, less det if the
-        # column is itself artificial.  Reaching index ncols, the rhs, means
-        # there is none, so the artificial sum has a positive minimum.
-        for enter, col in enumerate(zip(*art_rows)):
-            if sum(col) > (det if enter >= first_art else 0):
+        # w.a_j, w the sum of the rows of inv with a basic artificial, less
+        # det if the column is itself artificial
+        w = [sum(map(vec.__getitem__, art)) for vec in inv]
+        price = w.__getitem__
+        for enter, (idx, vals) in enumerate(columns):
+            if sum(map(mul, map(price, idx), vals)) > 0:
+                col = [sum(map(mul, vals, row)) for row in zip(*map(inv.__getitem__, idx))]
                 break
-        if enter == ncols:
-            return False
-        # ratio test rhs/entry over the positive entries (a positive reduced
+        else:
+            for k, rr in enumerate(needs_art):
+                if sign[rr] * w[rr] > det:
+                    enter = first_art + k
+                    col = [sign[rr] * x for x in inv[rr]]
+                    break
+            else:
+                # the artificial sum has a positive minimum
+                return False
+        # ratio test beta/entry over the positive entries (a positive reduced
         # cost needs one), ties to the smallest basic column; the quotients
         # are compared cross-multiplied
         r = None
-        for rr, row in enumerate(tableau):
-            e = row[enter]
+        for rr, e in enumerate(col):
             if e > 0 and (
                 r is None
-                or row[-1] * e_best < rhs_best * e
-                or (row[-1] * e_best == rhs_best * e and basis[rr] < basis[r])
+                or beta[rr] * e_best < rhs_best * e
+                or (beta[rr] * e_best == rhs_best * e and basis[rr] < basis[r])
             ):
-                r, e_best, rhs_best = rr, e, row[-1]
-        pivot_row = tableau[r]
-        piv = pivot_row[enter]
-        for rr, row in enumerate(tableau):
-            factor = row[enter]
-            # a row without the entering column keeps its entries when the
-            # denominator does not change; a unit pivot on a unit
-            # denominator (most pivots of cone_implied) needs no division
-            if rr == r or not (factor or piv != det):
-                continue
-            if piv == det == 1:
-                tableau[rr] = [x - factor * p for x, p in zip(row, pivot_row)]
-            else:
-                tableau[rr] = [(piv * x - factor * p) // det for x, p in zip(row, pivot_row)]
+                r, e_best, rhs_best = rr, e, beta[rr]
+        piv = col[r]
+        inv = [_pivot(vec, col, r, piv, det) for vec in inv]
+        beta = _pivot(beta, col, r, piv, det)
         det = piv
         basis[r] = enter
 
@@ -252,17 +293,16 @@ def simplex_feasible(ineqs, eqs, nvars) -> bool:
     """Phase-1 simplex feasibility for {Ax <= b, Ex = d}, x free.
 
     Free variables are split x = u - v and every inequality gets a slack,
-    which is its starting basic variable when its rhs is nonnegative.
+    which is its starting basic variable when its rhs is nonnegative.  The
+    columns are those of u, then v, then the slacks.
     """
     n_ineq = len(ineqs)
-    rows = []
-    for a, b in [*ineqs, *eqs]:
-        ia, ib = _normalize_int_row(a, b)
-        rows.append([*ia, *(-x for x in ia), *[0] * n_ineq, ib])
+    rows = [_normalize_int_row(a, b) for a, b in [*ineqs, *eqs]]
+    u = [_sparse([a[j] for a, _ in rows]) for j in range(nvars)]
+    v = [(idx, tuple(-x for x in vals)) for idx, vals in u]
+    slacks = [((i,), (1,)) for i in range(n_ineq)]
     basis = [2 * nvars + i for i in range(n_ineq)] + [None] * len(eqs)
-    for i in range(n_ineq):
-        rows[i][basis[i]] = 1
-    return _phase1(rows, basis, 2 * nvars + n_ineq)
+    return _phase1(u + v + slacks, [b for _, b in rows], basis)
 
 
 def feasible(ineqs, eqs, nvars) -> bool:
@@ -285,21 +325,27 @@ def feasible(ineqs, eqs, nvars) -> bool:
     return simplex_feasible(rows, [], len(live))
 
 
-def cone_implied(c, rows, eqs, nvars) -> bool:
-    """Does c.x <= 0 follow from {r.x <= 0 for r in rows, h.x = 0 for h in eqs}?
+def cone_columns(rows, eqs) -> list:
+    """The sparse columns of ``cone_implied`` for {r.x <= 0 for r in rows, h.x = 0 for h in eqs}.
 
-    Equivalent, by LP duality for homogeneous systems, to
-    c = sum y_r r + sum t_h h with y >= 0, t free; decided as a phase-1
-    problem with one equation per coordinate and one variable per row.
-    Each vector is first scaled to integers by a positive factor, which
-    changes neither the cone nor the answer.
+    Each vector is scaled to coprime integers by a positive factor, which
+    changes neither the cone nor the answer; each equality gives two
+    columns, h and -h, the halves of its free multiplier.
     """
-    # variables: y_r >= 0, t_h split into two nonnegative halves
-    cols = [_normalize_int_row(r, 0)[0] for r in rows]
+    cols = [_sparse(_normalize_int_row(r, 0)[0]) for r in rows]
     for h in eqs:
-        h = _normalize_int_row(h, 0)[0]
-        cols.append(h)
-        cols.append(tuple(-x for x in h))
+        idx, vals = _sparse(_normalize_int_row(h, 0)[0])
+        cols += [(idx, vals), (idx, tuple(-x for x in vals))]
+    return cols
+
+
+def cone_implied(c, columns) -> bool:
+    """Does c.x <= 0 follow from the homogeneous system of ``columns``?
+
+    ``columns`` comes from ``cone_columns(rows, eqs)``, over len(c)
+    coordinates.  By LP duality for homogeneous systems the answer is
+    c = sum y_r r + sum t_h h with y >= 0, t free: a phase-1 problem with
+    one equation per coordinate and one variable per column.
+    """
     target = _normalize_int_row(c, 0)[0]
-    eq_rows = [[col[k] for col in cols] + [target[k]] for k in range(nvars)]
-    return _phase1(eq_rows, [None] * nvars, len(cols))
+    return _phase1(columns, list(target), [None] * len(target))

@@ -235,8 +235,8 @@ def _lr_hive_count_cached(lam, mu, nu, n):
 
 def rectangular_lr(lam, mu, N: int, n: int) -> int:
     """c^{(N^n)}_{lam,mu}: 1 iff lam_i + mu_{n+1-i} = N for i = 1..n, else 0."""
-    lam = canonical(lam)
-    mu = canonical(mu)
+    lam = check_sequence(lam, "lambda")
+    mu = check_sequence(mu, "mu")
     if len(lam) > n or len(mu) > n:
         return 0
     if (lam and lam[-1] < 0) or (mu and mu[-1] < 0):

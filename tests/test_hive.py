@@ -5,7 +5,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunlr import hive
@@ -224,6 +224,12 @@ queries = st.one_of(
 )
 
 
+# n = 4, where the simplex does most of the work: (1)^4 and (2,1)^4 are
+# positive, then one unbalanced tuple and one balanced tuple with f = 0
+@example(([(1,)] * 4, 4, 4))
+@example(([(2, 1)] * 4, 4, 4))
+@example(([(2, 1), (1,), (), ()], 4, 4))
+@example(([(2,), (1, 1), (), ()], 4, 4))
 @given(queries)
 @settings(max_examples=60, deadline=None)
 def test_positivity_matches_uncached_lp_and_chain_sum(query):

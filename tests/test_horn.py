@@ -33,6 +33,7 @@ from sunlr.horn import (
     underline_lambda,
     verify_facets_2_6,
 )
+from sunlr.linprog import cone_columns, cone_implied
 from sunlr.partitions import is_partition, iter_partition_tuples, pad, size
 
 
@@ -321,6 +322,27 @@ def test_minimal_facets_split_into_trivial_and_regular():
     trivial = [st for st in minimal if is_trivial_facet(st)]
     assert len(minimal) == len(regular) + len(trivial)
     assert len(trivial) == 6  # l(i)_2 >= 0 for each flag, up to the balance relation
+
+
+def _reference_minimal_facets(n, m):
+    """minimal_facets by its definition: each candidate is solved against all
+    the other candidates, the chamber rows and the balance equality, with no
+    orbits and no column dropped.  Shares the LP with minimal_facets."""
+    vectors = {st.subsets: HornInequality(st).coefficient_vector() for st in generate_T(n, m)}
+    chamber = horn._chamber_rows(n, m)
+    balance = horn._balance_row(n, m)
+    kept = []
+    for subs, vec in vectors.items():
+        others = [v for s, v in vectors.items() if s != subs] + chamber
+        if any(vec) and not cone_implied(vec, cone_columns(others, [balance])):
+            kept.append(subs)
+    return sorted(kept)
+
+
+@pytest.mark.parametrize("n, m", [(1, 6), (1, 8), (2, 4), (1, 10), (2, 6), (3, 4)])
+def test_minimal_facets_matches_reference(monkeypatch, n, m):
+    monkeypatch.setattr(horn, "_FACET_CACHE", {})
+    assert [st.subsets for st in minimal_facets(n, m)] == _reference_minimal_facets(n, m)
 
 
 @pytest.mark.parametrize(

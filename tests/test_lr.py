@@ -133,3 +133,12 @@ def test_non_integer_entries_are_refused():
             lr_coefficient(*args, 1)
         with pytest.raises(InvalidInputError, match="integers only"):
             lr_hive_count(*args, 1)
+
+
+def test_rectangular_lr_refuses_non_integer_entries():
+    # canonical() alone would truncate (1.5,) to (1,) and give 1 here
+    for lam, mu in (((1.5,), (0.5,)), ((True,), (0,)), (("2",), ())):
+        with pytest.raises(InvalidInputError, match="integers only"):
+            rectangular_lr(lam, mu, 1, 1)
+        with pytest.raises(InvalidInputError, match="integers only"):
+            rectangular_lr(mu, lam, 1, 1)
