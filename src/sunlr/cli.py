@@ -7,8 +7,12 @@ input so trailing-zero normalization is visible.  Output is deterministic:
 sorted keys, no timestamps.
 
 Exit codes: 0 success, 1 input or usage error, 2 oracle disagreement, 3
-budget exceeded.  ``--cross-check`` re-derives values by every method
-available for the subcommand and fails loudly on disagreement.
+budget exceeded.  Every subcommand takes ``--file`` and ``--plain``, takes
+the other flags only where ``SUBCOMMANDS`` lists them, and exits 1 on any
+other: ``--cross-check`` (``lr``, ``f``, ``positivity``, ``cone``) re-derives
+values by every available method and fails loudly on disagreement,
+``--variant`` (``cone``, ``horn-gen``) overrides the document's variant, and
+``--budget`` (all but ``facets26`` and ``selftest``) caps the enumeration.
 
 Each kind's handler imports the layers it uses when it runs, so a request
 compiles and loads no other: ``lr`` needs only the LR kernels; ``stretch``,
@@ -28,34 +32,7 @@ from .errors import BudgetExceededError, InvalidInputError, OracleDisagreementEr
 from .lr import lr_coefficient, lr_hive_count
 from .partitions import canonical, check_sequence, iter_partition_tuples
 
-SUBCOMMAND_KIND = {
-    "lr": "lr",
-    "f": "f_sun",
-    "f1": "f1",
-    "f2": "f2",
-    "positivity": "positivity",
-    "cone": "cone",
-    "horn-gen": "horn_gen",
-    "stretch": "stretch",
-    "facets26": "facets26",
-    "factorize": "factorize",
-    "selftest": "selftest",
-}
-
-KINDS = tuple(SUBCOMMAND_KIND.values())
-
 NO_INPUT_KINDS = ("facets26", "selftest")
-
-
-class ProblemFile:
-    """A validated problem; the fields a kind does not use keep their defaults."""
-
-    def __init__(self, kind):
-        self.kind = kind
-        self.n = self.m = self.N_max = 0
-        self.lambdas = self.subsets = None
-        self.variant = "one"
-        self.of = "f_sun"
 
 
 def _need(doc, key, kind):
@@ -71,7 +48,7 @@ def _int_field(doc, key, kind):
     return v
 
 
-def _sequences(doc, kind, n, rational=False):
+def _sequences(doc, kind, rational=False):
     lambdas = _need(doc, "lambdas", kind)
     if not isinstance(lambdas, list) or not all(isinstance(l, list) for l in lambdas):
         raise InvalidInputError("field 'lambdas' must be a list of lists")
@@ -97,8 +74,8 @@ def _sequences(doc, kind, n, rational=False):
     return out
 
 
-def parse_problem(text: str, expected_kind=None) -> ProblemFile:
-    """Parse and validate a JSON problem document."""
+def parse_problem(text: str, expected_kind=None) -> argparse.Namespace:
+    """Parse and validate a JSON problem document; fields its kind does not use keep defaults."""
     try:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
@@ -113,7 +90,7 @@ def parse_problem(text: str, expected_kind=None) -> ProblemFile:
     if expected_kind is not None and kind != expected_kind:
         raise InvalidInputError(f"subcommand expects kind {expected_kind!r} but file says {kind!r}")
 
-    p = ProblemFile(kind=kind)
+    p = argparse.Namespace(kind=kind, n=0, m=0, N_max=0, lambdas=None, subsets=None, variant="one", of="f_sun")
     if kind in NO_INPUT_KINDS:
         return p
     p.n = _int_field(doc, "n", kind)
@@ -121,7 +98,7 @@ def parse_problem(text: str, expected_kind=None) -> ProblemFile:
         raise InvalidInputError(f"n must be >= 1, got {p.n}")
 
     if kind == "lr":
-        p.lambdas = _sequences(doc, kind, p.n)
+        p.lambdas = _sequences(doc, kind)
         if len(p.lambdas) != 3:
             raise InvalidInputError("kind 'lr' needs exactly three sequences [lambda, mu, nu]")
         return p
@@ -129,7 +106,7 @@ def parse_problem(text: str, expected_kind=None) -> ProblemFile:
     if kind == "horn_gen":
         p.m = _int_field(doc, "m", kind)
     else:
-        p.lambdas = _sequences(doc, kind, p.n, rational=(kind == "cone"))
+        p.lambdas = _sequences(doc, kind, rational=(kind == "cone"))
         p.m = _int_field(doc, "m", kind) if "m" in doc else len(p.lambdas)
         if p.m != len(p.lambdas):
             raise InvalidInputError(f"m={p.m} but {len(p.lambdas)} sequences given")
@@ -165,10 +142,6 @@ def _report(p, **fields):
     """A report opening with the header the chain kinds share: kind, n, m, echoed input."""
     echo = [list(canonical(l)) for l in p.lambdas]
     return {"kind": p.kind, "n": p.n, "m": p.m, "input": {"lambdas": echo}, **fields}
-
-
-def _frac_str(x):
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _run_lr(p, cross_check, budget):
@@ -253,7 +226,7 @@ def _run_cone(p, cross_check, budget):
         "n": p.n,
         "m": p.m,
         "variant": p.variant,
-        "input": {"lambdas": [[_frac_str(x) for x in l] for l in p.lambdas]},
+        "input": {"lambdas": [list(map(str, l)) for l in p.lambdas]},
         "in_cone": member,
         "methods": [f"horn_{p.variant}"],
     }
@@ -314,11 +287,8 @@ def _run_factorize(p, cross_check, budget):
 def _run_facets26(p, cross_check, budget):
     from . import horn
 
-    closure = horn.facets_2_6_closure()
-    report = {"kind": "facets26", **horn.facets_2_6_golden()}
-    report["closure_count"] = len(closure)
-    report["closure"] = [[list(s) for s in st.subsets] for st in closure]
-    return report
+    closure = [[list(s) for s in st.subsets] for st in horn.facets_2_6_closure()]
+    return {"kind": "facets26", **horn.facets_2_6_golden(), "closure_count": len(closure), "closure": closure}
 
 
 def _run_selftest(p, cross_check, budget):
@@ -373,35 +343,41 @@ def _run_selftest(p, cross_check, budget):
     return {"kind": "selftest", "passed": True, "suites": suites}
 
 
-# kind -> handler(problem, cross_check, budget)
-HANDLERS = {
-    "lr": _run_lr,
-    "f_sun": _run_f_sun,
-    "f1": _run_open_chain,
-    "f2": _run_open_chain,
-    "positivity": _run_positivity,
-    "cone": _run_cone,
-    "horn_gen": _run_horn_gen,
-    "stretch": _run_stretch,
-    "factorize": _run_factorize,
-    "facets26": _run_facets26,
-    "selftest": _run_selftest,
+# subcommand -> (kind, handler(problem, cross_check, budget), flags the handler
+# reads besides --file and --plain); main registers no other flag
+SUBCOMMANDS = {
+    "lr": ("lr", _run_lr, ("--cross-check", "--budget")),
+    "f": ("f_sun", _run_f_sun, ("--cross-check", "--budget")),
+    "f1": ("f1", _run_open_chain, ("--budget",)),
+    "f2": ("f2", _run_open_chain, ("--budget",)),
+    "positivity": ("positivity", _run_positivity, ("--cross-check", "--budget")),
+    "cone": ("cone", _run_cone, ("--cross-check", "--variant", "--budget")),
+    "horn-gen": ("horn_gen", _run_horn_gen, ("--variant", "--budget")),
+    "stretch": ("stretch", _run_stretch, ("--budget",)),
+    "facets26": ("facets26", _run_facets26, ()),
+    "factorize": ("factorize", _run_factorize, ("--budget",)),
+    "selftest": ("selftest", _run_selftest, ()),
+}
+
+SUBCOMMAND_KIND = {name: kind for name, (kind, _, _) in SUBCOMMANDS.items()}
+KINDS = tuple(SUBCOMMAND_KIND.values())
+
+FLAGS = {
+    "--cross-check": dict(action="store_true"),
+    "--variant": dict(choices=["one", "nonzero"]),
+    "--budget": dict(type=int),
 }
 
 
-def run(p: ProblemFile, cross_check=False, budget=None) -> dict:
+def run(p: argparse.Namespace, cross_check=False, budget=None) -> dict:
     """Dispatch a validated problem; returns the report payload."""
-    handler = HANDLERS.get(p.kind)
-    if handler is None:
-        raise InvalidInputError(f"unhandled kind {p.kind!r}")
+    handler = next(h for kind, h, _ in SUBCOMMANDS.values() if kind == p.kind)
     return handler(p, cross_check, budget)
 
 
 def _render_plain(report: dict) -> str:
     lines = []
-    for key in sorted(report):
-        if key in ("input", "tuples", "facets"):
-            continue
+    for key in sorted(report.keys() - {"input", "tuples", "facets"}):
         val = report[key]
         if isinstance(val, (dict, list)):
             val = json.dumps(val, sort_keys=True)
@@ -421,13 +397,13 @@ def main(argv=None) -> int:
         prog="sunlr",
         description="Exact generalized Littlewood-Richardson multiplicities and cone machinery",
     )
+    parser.set_defaults(cross_check=False, variant=None, budget=None)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMAND_KIND:
+    for name, (_, _, flags) in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--file", help="problem JSON (default: standard input)")
-        sp.add_argument("--cross-check", action="store_true", dest="cross_check")
-        sp.add_argument("--variant", choices=["one", "nonzero"])
-        sp.add_argument("--budget", type=int)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
         sp.add_argument("--plain", action="store_true")
 
     try:

@@ -24,7 +24,7 @@ slot and closes on it; ``f1`` and ``f2`` supply only their end data.
 hive-counting module can run the same decomposition with an independent
 per-factor engine.
 
-Inputs are validated once, by ``ChainProblem``.  The walk then calls the
+Inputs are validated once, by ``_check_chain``.  The walk then calls the
 cached partition-only kernel ``lr._lr_tableau_count`` directly.  Every
 argument it sees is a canonical partition: a slot state lies inside the
 upper argument of each factor it enters, the ends of ``f2`` have at most n
@@ -44,7 +44,6 @@ from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeErro
 from .lr import _lr_tableau_count, lr_coefficient
 from .partitions import (
     IntSeq,
-    canonical,
     check_sequence,
     minimum,
     partitions_in_box,
@@ -56,6 +55,28 @@ from .partitions import (
 KINDS = ("f_sun", "f1", "f2")
 
 
+def _check_chain(kind, n, lambdas) -> tuple[IntSeq, ...]:
+    """Check a chain-sum request on its raw sequences; return them canonical."""
+    if kind not in KINDS:
+        raise InvalidInputError(f"unknown kind {kind!r}, expected one of {KINDS}")
+    if n < 1:
+        raise InvalidInputError(f"rank n must be >= 1, got {n}")
+    m = len(lambdas)
+    if kind == "f_sun" and (m < 4 or m % 2):
+        raise UnsupportedShapeError(f"f_sun needs an even number m >= 4 of sequences, got m={m}")
+    if kind == "f1" and m < 4:
+        raise UnsupportedShapeError(f"f1 needs m >= 4 sequences, got m={m}")
+    if kind == "f2" and m < 3:
+        raise UnsupportedShapeError(f"f2 needs m >= 3 sequences, got m={m}")
+    out = []
+    for idx, lam in enumerate(lambdas, start=1):
+        parts = check_sequence(lam, f"lambda({idx})")
+        if len(parts) > n:
+            raise InvalidInputError(f"lambda({idx}) = {list(lam)} has more than n={n} parts")
+        out.append(parts)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ChainProblem:
     """One chain-sum evaluation request."""
@@ -65,32 +86,12 @@ class ChainProblem:
     lambdas: tuple[IntSeq, ...]
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
-        if self.n < 1:
-            raise InvalidInputError(f"rank n must be >= 1, got {self.n}")
-        m = len(self.lambdas)
-        if self.kind == "f_sun" and (m < 4 or m % 2):
-            raise UnsupportedShapeError(f"f_sun needs an even number m >= 4 of sequences, got m={m}")
-        if self.kind == "f1" and m < 4:
-            raise UnsupportedShapeError(f"f1 needs m >= 4 sequences, got m={m}")
-        if self.kind == "f2" and m < 3:
-            raise UnsupportedShapeError(f"f2 needs m >= 3 sequences, got m={m}")
-        for idx, lam in enumerate(self.lambdas, start=1):
-            parts = check_sequence(lam, f"lambda({idx})")
-            if len(parts) > self.n:
-                raise InvalidInputError(
-                    f"lambda({idx}) = {list(lam)} has more than n={self.n} parts"
-                )
-
-    @property
-    def m(self) -> int:
-        return len(self.lambdas)
+        _check_chain(self.kind, self.n, self.lambdas)
 
 
 def _validated(lambdas, n, kind):
-    """The canonical sequences, checked raw by ``ChainProblem``; None if one is not a partition."""
-    lams = tuple(map(canonical, ChainProblem(kind, n, tuple(lambdas)).lambdas))
+    """The canonical sequences, checked by ``_check_chain``; None if one is not a partition."""
+    lams = _check_chain(kind, n, tuple(lambdas))
     return None if any(l and l[-1] < 0 for l in lams) else lams
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sunlr.cli import SUBCOMMAND_KIND, main, parse_problem, run
+from sunlr.cli import SUBCOMMAND_KIND, SUBCOMMANDS, main, parse_problem, run
 from sunlr.errors import InvalidInputError
 
 
@@ -312,6 +312,60 @@ def test_main_oracle_disagreement_exit_code(capsys, monkeypatch):
     assert json.loads(out)["error"] == "oracle-disagreement"
 
 
+@pytest.mark.parametrize(
+    "argv, payload, module, name, fake",
+    [
+        (["lr"], doc(kind="lr", n=2, lambdas=[[1], [1], [2]]), "sunlr.cli", "lr_hive_count", lambda *a: 99),
+        (["positivity"], doc(kind="positivity", n=1, lambdas=[[1]] * 4), "sunlr.generalized", "f_sun", lambda *a, **k: 0),
+        (["cone"], doc(kind="cone", n=1, lambdas=[[1]] * 4), "sunlr.horn", "in_cone", lambda *a, **k: a[3] == "one"),
+    ],
+    ids=["lr", "positivity", "cone"],
+)
+def test_main_cross_check_disagreement_exits_2(capsys, monkeypatch, argv, payload, module, name, fake):
+    code, out = run_cli(capsys, argv + ["--cross-check"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 0
+    monkeypatch.setattr(f"{module}.{name}", fake)
+    code, out = run_cli(capsys, argv + ["--cross-check"], stdin=payload, monkeypatch=monkeypatch)
+    assert code == 2
+    assert json.loads(out)["error"] == "oracle-disagreement"
+
+
+def test_main_unreadable_file(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out = run_cli(capsys, ["f", "--file", str(missing)])
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "invalid-input"
+    assert report["message"].startswith(f"cannot read {missing}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, payload, message",
+    [
+        (
+            ["factorize"],
+            doc(kind="factorize", n=1, lambdas=[[2], [1], [2], [1]]),
+            "no tight nonempty inequality found for this tuple",
+        ),
+        (
+            ["positivity"],
+            doc(kind="positivity", n=1, lambdas=[[1]] * 5),
+            "kind 'positivity' needs an even number m >= 4 of sequences, got m=5",
+        ),
+        (
+            ["positivity"],
+            doc(kind="positivity", n=1, lambdas=[[1, 1], [1], [1], [1]]),
+            "lambda(1) = [1, 1] has more than n=1 parts",
+        ),
+    ],
+    ids=["factorize-no-tight-inequality", "positivity-odd-m", "positivity-too-many-parts"],
+)
+def test_main_input_errors(capsys, monkeypatch, argv, payload, message):
+    code, out = run_cli(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out) == {"error": "invalid-input", "message": message}
+
+
 def test_main_facets26_closure(capsys, monkeypatch):
     code, out = run_cli(capsys, ["facets26"], stdin="", monkeypatch=monkeypatch)
     assert code == 0
@@ -422,3 +476,28 @@ def test_main_fuzz_maps_every_request_to_an_exit_code(request):
     assert code in (0, 1, 2, 3), (argv, text)
     if code:
         assert json.loads(out.getvalue())["error"] in ERRORS[code], (argv, text, out.getvalue())
+
+
+FLAG_ARGS = {"--cross-check": [], "--variant": ["nonzero"], "--budget": ["1000"]}
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+def test_main_takes_only_the_flags_the_subcommand_reads(capsys, monkeypatch, tmp_path, sub):
+    reads = SUBCOMMANDS[sub][2]
+    assert set(reads) <= set(FLAG_ARGS)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(VALID[sub]))
+    for extra in (["--plain"], ["--file", str(problem)]):
+        code, _ = run_cli(capsys, [sub, *extra], stdin=json.dumps(VALID[sub]), monkeypatch=monkeypatch)
+        assert code == 0, extra
+    for flag, value in FLAG_ARGS.items():
+        argv = [sub, flag, *value]
+        code, out = run_cli(capsys, argv, stdin=json.dumps(VALID[sub]), monkeypatch=monkeypatch)
+        if flag in reads:
+            assert code == 0, argv
+        else:
+            assert code == 1, argv
+            assert json.loads(out) == {
+                "error": "invalid-input",
+                "message": f"sunlr: unrecognized arguments: {' '.join([flag, *value])}",
+            }

@@ -42,6 +42,12 @@ def test_f_sun_nonpartition_is_zero():
     assert f_sun([(0, -1), (0, -1), (), ()], 2) == 0
 
 
+def test_open_chains_nonpartition_is_zero():
+    # run past the partition guard, both chain sums would give 1
+    assert f1([(), (1,), (1, -1), (1,)], 2) == 0
+    assert f2([(0, -1), (1, -1), (1,)], 2) == 0
+
+
 def test_f_sun_size_balance():
     assert f_sun([(2,), (1,), (1,), (1,)], 1) == 0
 
