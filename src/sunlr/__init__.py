@@ -5,8 +5,9 @@ glued hive counting (the chain sum's walk, a hive count per factor), quiver
 weight spaces (reduced to the memoized chain sum, so they agree with it by
 construction) and exact LP positivity (no counting code shared; only the
 boundary check, with hive counting).  Plus the Horn-type cone machinery:
-inequality generation, membership, saturation and factorization checks,
-and the golden facet data for the n = 2, m = 6 cone.
+inequality generation, membership and factorization checks, and the golden
+facet data for the n = 2, m = 6 cone; ``stretched_table`` gives the values
+on stretched tuples that the saturation property is about.
 
 ``import sunlr`` loads only the error classes.  Every other public name, and
 every submodule, is imported on first access (PEP 562), so ``from sunlr
@@ -41,13 +42,10 @@ _LAZY = {
     ),
     "hive": (
         "LinearSystem",
-        "SunHive",
-        "TriangularHive",
         "build_linear_system",
         "count_sun_hives",
         "lp_feasible",
         "positivity",
-        "validate_sun_hive",
     ),
     "horn": (
         "HornInequality",
@@ -56,7 +54,6 @@ _LAZY = {
         "factorization_check",
         "generate_T",
         "in_cone",
-        "saturation_report",
         "underline_lambda",
         "verify_facets_2_6",
     ),
@@ -64,14 +61,8 @@ _LAZY = {
     "partitions": ("conjugate", "contains", "lambda_of_set", "stretch"),
     "quiver": (
         "SunQuiver",
-        "beta_from_subsets",
         "build_sun_quiver",
         "dim_si_sun",
-        "euler_form",
-        "is_fundamental_schur",
-        "jump_sets",
-        "sigma_apply",
-        "sigma_from_subsets",
         "weight_sigma1",
     ),
 }

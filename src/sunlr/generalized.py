@@ -273,22 +273,13 @@ def level1_lambdas(spec: LevelOneSpec, N: int) -> tuple[IntSeq, ...]:
     return tuple((N,) * j for j in spec.jumps)
 
 
-def evaluate(problem: ChainProblem, budget=None) -> int:
-    if problem.kind == "f_sun":
-        return f_sun(problem.lambdas, problem.n, budget=budget)
-    if problem.kind == "f1":
-        return f1(problem.lambdas, problem.n, budget=budget)
-    return f2(problem.lambdas, problem.n, budget=budget)
-
-
 def stretched_table(problem: ChainProblem, N_max: int, budget=None) -> list[int]:
     """[f(N * lambdas)] for N = 1..N_max, each N evaluated independently."""
     if N_max < 1:
         raise InvalidInputError(f"N_max must be >= 1, got {N_max}")
-    out = []
-    for N in range(1, N_max + 1):
-        scaled = ChainProblem(
-            problem.kind, problem.n, tuple(stretch(l, N) for l in problem.lambdas)
-        )
-        out.append(evaluate(scaled, budget=budget))
-    return out
+    # looked up per call, so a rebinding of f_sun, f1 or f2 is seen here
+    fn = {"f_sun": f_sun, "f1": f1, "f2": f2}[problem.kind]
+    return [
+        fn(tuple(stretch(l, N) for l in problem.lambdas), problem.n, budget=budget)
+        for N in range(1, N_max + 1)
+    ]

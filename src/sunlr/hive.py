@@ -10,10 +10,9 @@ neighboring arrays under the flip identity
 
 Geometrically every second array is drawn mirrored, so bases read left to
 right for odd r and right to left for even r; at the data level each array
-uses the identical index scheme and inequality set, which is what the
-m = 4, n = 1 unit test pins down.  Rhombi formed by edges of two different
-arrays carry no inequality: with one array flipped there is no canonical
-direction for them.
+uses the identical index scheme and inequality set.  Rhombi formed by
+edges of two different arrays carry no inequality: with one array flipped
+there is no canonical direction for them.
 
 All edge labels are required to be nonnegative.  Without this the
 constraint set has a lineality (add t to every e and subtract it from
@@ -30,8 +29,10 @@ side partitions contributes the product of per-array hive counts.
 ``_hive_rows`` writes the whole constraint set of a shape (n, m) once, as
 A x <= b, E x = d with A and E entries in {-1, 0, 1} and every rhs a
 homogeneous integer linear form in the boundary entries; shared sides are
-substituted out via the flip identities.  ``build_linear_system`` evaluates
-the forms at one boundary and is the uncached reference.  Real feasibility
+substituted out via the flip identities.  These rows are the module's one
+encoding of the glued hive conditions: a labeling is a sun hive exactly
+when it is a point of them.  ``build_linear_system`` evaluates the forms at
+one boundary and is the uncached reference.  Real feasibility
 of that system decides positivity of the chain sum: the vertices of a
 nonempty polytope are rational (Cramer), a rational point scales to an
 integral hive for a stretched boundary, and the zero/nonzero status of the
@@ -49,45 +50,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from operator import mul
 
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
-from .generalized import cyclic_chain_sum, cyclic_slot_candidates
+from .generalized import cyclic_chain_sum
 from .linprog import _echelon, _reduce, feasible
-from .lr import iter_lr_hives, lr_hive_count
-from .partitions import canonical, check_partition, pad, size
-
-
-@dataclass
-class TriangularHive:
-    """One edge-labeled triangular array; row i holds entries j = 0..n-1-i."""
-
-    n: int
-    e: list
-    f: list
-    g: list
-
-    def __post_init__(self):
-        for name, arr in (("e", self.e), ("f", self.f), ("g", self.g)):
-            if len(arr) != self.n or any(len(arr[i]) != self.n - i for i in range(self.n)):
-                raise InvalidInputError(f"{name}-array does not have triangular shape for n={self.n}")
-
-
-@dataclass
-class SunHive:
-    n: int
-    m: int
-    arrays: list[TriangularHive]
-
-    def __post_init__(self):
-        if self.m < 4 or self.m % 2:
-            raise UnsupportedShapeError(f"sun hives need an even number m >= 4 of arrays, got {self.m}")
-        if len(self.arrays) != self.m:
-            raise InvalidInputError(f"expected {self.m} arrays, got {len(self.arrays)}")
-        for arr in self.arrays:
-            if arr.n != self.n:
-                raise InvalidInputError("all arrays must have the same side length n")
+from .lr import lr_hive_count
+from .partitions import canonical, check_partition, pad
 
 
 def _check_boundary(lambdas, n, m):
@@ -104,59 +73,6 @@ def _check_boundary(lambdas, n, m):
     return out
 
 
-def _array_constraints_hold(arr: TriangularHive) -> bool:
-    """Per-array rhombus inequalities, triangle equalities, nonnegativity."""
-    n, e, f, g = arr.n, arr.e, arr.f, arr.g
-    for i in range(n):
-        for j in range(n - i):
-            if e[i][j] < 0 or f[i][j] < 0 or g[i][j] < 0:
-                return False
-            if e[i][j] + f[i][j] != g[i][j]:
-                return False
-    for i in range(n):
-        for j in range(n - i - 1):  # i + j <= n-2
-            if e[i][j + 1] + f[i][j] != g[i + 1][j]:
-                return False
-            if e[i][j] < e[i][j + 1] or g[i][j] < g[i + 1][j]:
-                return False
-            if f[i + 1][j] < f[i][j] or e[i][j + 1] < e[i + 1][j]:
-                return False
-            if f[i][j] < f[i][j + 1] or g[i + 1][j] < g[i][j + 1]:
-                return False
-    return True
-
-
-def _border_condition_holds(arr: TriangularHive) -> bool:
-    n = arr.n
-    left = sum(arr.e[i][0] for i in range(n))
-    right = sum(arr.f[n - 1 - j][j] for j in range(n))
-    base = sum(arr.g[0][j] for j in range(n))
-    return left + right == base
-
-
-def validate_sun_hive(h: SunHive, lambdas) -> bool:
-    """Full validity check against a boundary tuple.
-
-    Dimension mismatches raise; constraint violations return False.
-    """
-    full = _check_boundary(lambdas, h.n, h.m)
-    n, m = h.n, h.m
-    for r in range(m):
-        arr = h.arrays[r]
-        if not _array_constraints_hold(arr):
-            return False
-        if not _border_condition_holds(arr):
-            return False
-        if any(arr.g[0][j] != full[r][j] for j in range(n)):
-            return False
-    for r in range(m):
-        nxt = h.arrays[(r + 1) % m]
-        cur = h.arrays[r]
-        if any(nxt.e[j][0] != cur.f[n - 1 - j][j] for j in range(n)):
-            return False
-    return True
-
-
 def count_sun_hives(lambdas, n: int, *, budget=None) -> int:
     """Number of integral sun hives with the given boundary.
 
@@ -166,30 +82,6 @@ def count_sun_hives(lambdas, n: int, *, budget=None) -> int:
     """
     lams = tuple(canonical(l) for l in _check_boundary(lambdas, n, len(lambdas)))
     return cyclic_chain_sum(lams, lambda a, b, nu: lr_hive_count(a, b, nu, n), budget=budget)
-
-
-def iter_sun_hives(lambdas, n: int):
-    """Yield every integral sun hive with the given boundary (small cases).
-
-    Chains of shared sides are enumerated first, slot by slot with their
-    sizes forced; each chain contributes the cartesian product of per-array
-    hive labelings.
-    """
-    m = len(lambdas)
-    lams = [canonical(l) for l in _check_boundary(lambdas, n, m)]
-    cands = cyclic_slot_candidates(lams)
-    if cands is None:
-        return
-    chains = [(a,) for a in cands[0]]
-    for i in range(1, m):
-        chains = [c + (a,) for c in chains for a in cands[i] if size(c[-1]) + size(a) == size(lams[i - 1])]
-    for chain in chains:
-        if size(chain[-1]) + size(chain[0]) != size(lams[-1]):
-            continue
-        per_array = [list(iter_lr_hives(chain[r], chain[(r + 1) % m], lams[r], n)) for r in range(m)]
-        for labelings in product(*per_array):
-            arrays = [TriangularHive(n, *[[row[:] for row in part] for part in lab]) for lab in labelings]
-            yield SunHive(n, m, arrays)
 
 
 @dataclass

@@ -53,14 +53,11 @@ from .partitions import (
     IntSeq,
     canonical,
     check_partition,
-    check_sequence,
     check_subset,
     conjugate,
     is_partition,
     lambda_of_sorted_set,
     pad,
-    size,
-    stretch,
 )
 
 DEFAULT_T_BUDGET = 1 << 16
@@ -309,16 +306,6 @@ def in_cone(lambdas, n: int, m: int, variant: str = "one", budget=None) -> bool:
     rows = _index_rows(generate_T(n, m, variant, budget=budget), n, m, variant)
     get = flat.__getitem__
     return all(sum(map(get, lo)) <= sum(map(get, hi)) for lo, hi in rows)
-
-
-def saturation_report(lambdas, n: int, r_max: int, budget=None) -> dict:
-    """Evaluate the chain sum on r*lambdas for r = 1..r_max and compare statuses."""
-    if r_max < 2:
-        raise InvalidInputError(f"r_max must be >= 2, got {r_max}")
-    lams = tuple(check_sequence(l, f"lambda({i})") for i, l in enumerate(lambdas, start=1))
-    values = [f_sun(tuple(stretch(l, r) for l in lams), n, budget=budget) for r in range(1, r_max + 1)]
-    statuses = {v > 0 for v in values}
-    return {"values": values, "passed": len(statuses) == 1}
 
 
 def restrict_to_subsets(lambdas, subsets, n: int, complement=False) -> tuple[IntSeq, ...]:

@@ -9,7 +9,6 @@ from sunlr.errors import BudgetExceededError, InvalidInputError, UnsupportedShap
 from sunlr.generalized import (
     ChainProblem,
     LevelOneSpec,
-    evaluate,
     f1,
     f2,
     f_sun,
@@ -232,6 +231,22 @@ def test_stretched_tables():
     assert stretched_table(ChainProblem("f_sun", 1, ((1,),) * 4), 3) == [2, 3, 4]
     assert stretched_table(ChainProblem("f_sun", 2, ((),) * 4), 3) == [1, 1, 1]
     assert stretched_table(ChainProblem("f_sun", 2, ((1,),) * 6), 2) == [2, 3]
+    assert stretched_table(ChainProblem("f_sun", 2, ((1, 0),) * 6), 3) == [2, 3, 4]
+    assert stretched_table(ChainProblem("f_sun", 1, ((1,), (), (), ())), 3) == [0, 0, 0]
+    lams = ((1,), (2, 1), (2, 1), (1,))
+    assert stretched_table(ChainProblem("f1", 2, lams), 2) == [3, 6]
+    assert stretched_table(ChainProblem("f2", 2, lams), 2) == [2, 3]
+    with pytest.raises(InvalidInputError, match="N_max"):
+        stretched_table(ChainProblem("f_sun", 1, ((1,),) * 4), 0)
+
+
+def test_stretched_table_validates_each_tuple_once(monkeypatch):
+    calls = []
+    check = generalized._check_chain
+    monkeypatch.setattr(generalized, "_check_chain", lambda *args: calls.append(args) or check(*args))
+    assert stretched_table(ChainProblem("f_sun", 2, ((1,),) * 4), 3) == [2, 3, 4]
+    # one check when the problem is built, then one per stretched tuple
+    assert len(calls) == 4
 
 
 def test_stretched_zero_pattern():
@@ -245,7 +260,7 @@ def test_chain_problem_validation():
         ChainProblem("f_sun", 1, ((1, 1), (1,), (1,), (1,)))
     with pytest.raises(InvalidInputError):
         ChainProblem("nope", 1, ((1,),) * 4)
-    assert evaluate(ChainProblem("f1", 2, ((1,),) * 4)) == 2
+    assert stretched_table(ChainProblem("f1", 2, ((1,),) * 4), 1) == [2]
 
 
 @given(st.lists(small_partition, min_size=4, max_size=4), st.sampled_from([2, 3]))

@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 import pytest
@@ -9,31 +10,39 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunlr import hive
-from sunlr.errors import InvalidInputError, UnsupportedShapeError
-from sunlr.generalized import f_sun
+from sunlr.errors import InvalidInputError
+from sunlr.generalized import cyclic_slot_candidates, f_sun
 from sunlr.hive import (
-    SunHive,
-    TriangularHive,
     build_linear_system,
     count_sun_hives,
-    iter_sun_hives,
     lp_feasible,
     positivity,
     reduced_system,
     system_rows,
-    validate_sun_hive,
 )
 from sunlr.linprog import eliminate_equalities, fourier_motzkin_feasible, simplex_feasible
-from sunlr.partitions import iter_partition_tuples, stretch
+from sunlr.lr import iter_lr_hives
+from sunlr.partitions import canonical, iter_partition_tuples, size, stretch
 
 
-def hand_hive_m4_n1(chain=(0, 1, 0, 1), tops=(1, 1, 1, 1)):
-    arrays = []
-    for r in range(4):
-        e = chain[r]
-        f = tops[r] - e
-        arrays.append(TriangularHive(1, [[e]], [[f]], [[tops[r]]]))
-    return SunHive(1, 4, arrays)
+def iter_sun_hives(lambdas, n):
+    """Test oracle: every integral sun hive with the given boundary (small cases).
+
+    Each hive is a tuple of per-array (e, f, g) labelings.  Chains of shared
+    sides are enumerated slot by slot with their sizes forced; each chain
+    contributes the cartesian product of per-array hive labelings.
+    """
+    m = len(lambdas)
+    lams = [canonical(l) for l in lambdas]
+    cands = cyclic_slot_candidates(lams)
+    if cands is None:
+        return
+    chains = [(a,) for a in cands[0]]
+    for i in range(1, m):
+        chains = [c + (a,) for c in chains for a in cands[i] if size(c[-1]) + size(a) == size(lams[i - 1])]
+    for chain in chains:
+        if size(chain[-1]) + size(chain[0]) == size(lams[-1]):
+            yield from product(*(iter_lr_hives(chain[r], chain[(r + 1) % m], lams[r], n) for r in range(m)))
 
 
 def count_sun_hives_raw_n1(lambdas) -> int:
@@ -55,45 +64,6 @@ def count_sun_hives_raw_n1(lambdas) -> int:
     return count
 
 
-def test_validate_hand_built():
-    # the chain ((), (1), (), (1)) as a glued hive; pins the base orientation
-    h = hand_hive_m4_n1()
-    assert validate_sun_hive(h, [(1,)] * 4)
-    h2 = hand_hive_m4_n1(chain=(1, 0, 1, 0))
-    assert validate_sun_hive(h2, [(1,)] * 4)
-
-
-def test_validate_rejects_broken_triangle():
-    h = hand_hive_m4_n1()
-    h.arrays[1].g[0][0] += 1
-    assert not validate_sun_hive(h, [(1,)] * 4)
-
-
-def test_validate_rejects_broken_flip():
-    h = hand_hive_m4_n1()
-    h.arrays[2].e[0][0] += 1
-    h.arrays[2].f[0][0] -= 1  # keeps the triangle equality, breaks the glue
-    assert not validate_sun_hive(h, [(1,)] * 4)
-
-
-def test_validate_rejects_negative_labels():
-    h = hand_hive_m4_n1(chain=(-1, 2, -1, 2))
-    assert not validate_sun_hive(h, [(1,)] * 4)
-
-
-def test_validate_zero_hive():
-    za = [TriangularHive(2, [[0, 0], [0]], [[0, 0], [0]], [[0, 0], [0]]) for _ in range(4)]
-    assert validate_sun_hive(SunHive(2, 4, za), [()] * 4)
-
-
-def test_validate_dimension_mismatch_raises():
-    h = hand_hive_m4_n1()
-    with pytest.raises(InvalidInputError):
-        validate_sun_hive(h, [(1,)] * 6)
-    with pytest.raises(UnsupportedShapeError):
-        SunHive(1, 3, h.arrays[:3])
-
-
 def test_count_spec_values():
     assert count_sun_hives([()] * 4, 2) == 1
     assert count_sun_hives([(1,)] * 4, 1) == 2
@@ -106,15 +76,6 @@ def test_raw_n1_oracle():
         m = random.choice([4, 6])
         lams = [(random.randint(0, 3),) for _ in range(m)]
         assert count_sun_hives_raw_n1(lams) == count_sun_hives(lams, 1) == f_sun(lams, 1)
-
-
-def test_every_enumerated_hive_validates():
-    for lams in ([(1, 0)] * 6, [(2, 1), (2, 1), (1, 1), (1, 1), (1, 0), (1, 0)]):
-        seen = 0
-        for h in iter_sun_hives(lams, 2):
-            assert validate_sun_hive(h, lams)
-            seen += 1
-        assert seen == count_sun_hives(lams, 2) == f_sun(lams, 2) > 0
 
 
 def test_linear_system_shape():
@@ -185,6 +146,36 @@ def test_positivity_stretch_consistency():
         base = positivity(lams, 2)
         for N in (2, 3):
             assert positivity([stretch(l, N) for l in lams], 2) == base
+
+
+@pytest.mark.parametrize(
+    "lams, n",
+    [([(2, 1)] * 4, 3), ([(3, 2, 1)] * 4, 4), ([(2,), (1, 1), (), ()], 4)],
+    ids=["21-n3", "321-n4", "infeasible-n4"],
+)
+def test_positivity_pivots_do_not_depend_on_the_stretch(monkeypatch, lams, n):
+    # the strongly polynomial claim: scaling the boundary by N scales every
+    # rhs and changes no pivot, so the LP's work does not grow with the entries
+    from sunlr import linprog
+
+    pivots = []
+    pivot = linprog._pivot
+
+    def record(vec, col, r, piv, det):
+        pivots.append((r, piv, det))
+        return pivot(vec, col, r, piv, det)
+
+    monkeypatch.setattr(linprog, "_pivot", record)
+
+    def run(N):
+        pivots.clear()
+        answer = positivity([stretch(l, N) for l in lams], n)
+        return answer, list(pivots)
+
+    answer, base = run(1)
+    assert base and answer == (f_sun(lams, n) > 0)
+    for N in (2, 7, 1000, 10**9):
+        assert run(N) == (answer, base), N
 
 
 def test_m4_n1_integer_points_match_lp():
@@ -310,7 +301,7 @@ def hive_point(h, names):
     point = []
     for name in names:
         kind, r, i, j = re.fullmatch(r"([efg])(\d+)\[(\d+),(\d+)\]", name).groups()
-        point.append(getattr(h.arrays[int(r) - 1], kind)[int(i)][int(j)])
+        point.append(h[int(r) - 1]["efg".index(kind)][int(i)][int(j)])
     return point
 
 
@@ -364,7 +355,7 @@ def test_sun_hives_satisfy_the_built_and_reduced_systems():
 )
 def test_iter_sun_hives_pinned(lams, n, count, digest):
     # the yielded sequence is pinned by the sha256 of repr of each hive's (e, f, g) arrays
-    hives = [[(a.e, a.f, a.g) for a in h.arrays] for h in iter_sun_hives(lams, n)]
+    hives = [list(h) for h in iter_sun_hives(lams, n)]
     assert len(hives) == count
     assert len({repr(h) for h in hives}) == count
     assert hashlib.sha256(repr(hives).encode()).hexdigest() == digest

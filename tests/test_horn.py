@@ -28,13 +28,12 @@ from sunlr.horn import (
     minimal_facets,
     orbit,
     regular_facets,
-    saturation_report,
     symmetry_group,
     underline_lambda,
     verify_facets_2_6,
 )
 from sunlr.linprog import cone_columns, cone_implied
-from sunlr.partitions import is_partition, iter_partition_tuples, pad, size
+from sunlr.partitions import is_partition, iter_partition_tuples, pad
 
 
 def test_underline_examples():
@@ -215,19 +214,6 @@ def test_cone_convexity_spot():
     assert in_cone(total, 2, 6)
     scaled = [[Fraction(3, 7) * x for x in pad(p, 2)] for p in total]
     assert in_cone(scaled, 2, 6)
-
-
-def test_saturation_report_examples():
-    rep = saturation_report([(1, 0)] * 6, 2, 3)
-    assert rep == {"values": [2, 3, 4], "passed": True}
-    rep = saturation_report([(1,), (), (), ()], 1, 3)
-    assert rep["passed"] and all(v == 0 for v in rep["values"])
-    rep = saturation_report([()] * 4, 1, 3)
-    assert rep == {"values": [1, 1, 1], "passed": True}
-    with pytest.raises(InvalidInputError):
-        saturation_report([(1,)] * 4, 1, 1)
-    with pytest.raises(InvalidInputError, match="integers only"):
-        saturation_report([(1.5,)] * 4, 1, 2)  # not read as (1,)
 
 
 def test_factorization_zero_tuple():

@@ -5,17 +5,7 @@ import pytest
 from sunlr.errors import InvalidInputError, UnsupportedShapeError
 from sunlr.generalized import f_sun
 from sunlr.partitions import iter_partition_tuples
-from sunlr.quiver import (
-    beta_from_subsets,
-    build_sun_quiver,
-    dim_si_sun,
-    euler_form,
-    is_fundamental_schur,
-    jump_sets,
-    sigma_apply,
-    sigma_from_subsets,
-    weight_sigma1,
-)
+from sunlr.quiver import build_sun_quiver, dim_si_sun, weight_sigma1
 
 
 def beta_standard(Q):
@@ -25,6 +15,57 @@ def beta_standard(Q):
 def unit_vector(Q, x):
     assert x in Q.vertices()
     return {v: int(v == x) for v in Q.vertices()}
+
+
+def euler_form(Q, a, b):
+    """<a, b> = sum_x a(x) b(x) - sum_{arrows} a(tail) b(head)."""
+    return sum(a[v] * b[v] for v in Q.vertices()) - sum(a[t] * b[h] for t, h in Q.arrows())
+
+
+def sigma_apply(sigma, a):
+    return sum(sigma[v] * a[v] for v in sigma)
+
+
+def beta_from_subsets(subsets, Q):
+    """beta_I: the value #{z in I_i : z <= j} at vertex (j, i)."""
+    return {(j, i): sum(z <= j for z in subsets[i - 1]) for j, i in Q.vertices()}
+
+
+def sigma_from_subsets(subsets, Q):
+    """sigma_I = <beta_I, .> written in the subsets, with I_0 = I_m.
+
+    At flag vertices (l < n): [l in I_i] for even i, -[l+1 in I_i] for odd
+    i.  At central vertices: [n in I_i] for even i, and |I_i| - |I_{i-1}| -
+    |I_{i+1}| for odd i.
+    """
+    m, n = Q.m, Q.n
+    sigma = {}
+    for i in range(1, m + 1):
+        I = subsets[i - 1]
+        for l in range(1, n):
+            sigma[(l, i)] = int(l in I) if i % 2 == 0 else -int(l + 1 in I)
+        sigma[(n, i)] = int(n in I) if i % 2 == 0 else len(I) - len(subsets[i - 2]) - len(subsets[i % m])
+    return sigma
+
+
+def is_fundamental_schur(Q, b):
+    """Fundamental region: connected support and tau_x(b) <= 0 at every x.
+
+    tau_x(b) = <e_x, b> + <b, e_x> = 2 b(x) - the sum of b over the arrows at x.
+    """
+    neighbors = {v: [] for v in Q.vertices()}
+    for t, h in Q.arrows():
+        neighbors[t].append(h)
+        neighbors[h].append(t)
+    support = {v for v in neighbors if b[v]}
+    seen, stack = set(), sorted(support)[:1]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(w for w in neighbors[v] if w in support)
+    connected = bool(support) and seen == support
+    return connected and all(2 * b[v] - sum(b[w] for w in neighbors[v]) <= 0 for v in neighbors)
 
 
 def test_construction_counts():
@@ -103,26 +144,6 @@ def test_beta_from_subsets_examples():
     assert [b[(j, 1)] for j in (1, 2, 3)] == [0, 1, 1]
     assert [b[(j, 2)] for j in (1, 2, 3)] == [1, 1, 2]
     assert b[(3, 1)] == 1  # |I_1|
-
-
-def test_jump_sets_roundtrip():
-    Q = build_sun_quiver(3, 2)
-    random.seed(3)
-    for _ in range(30):
-        subs = [tuple(sorted(random.sample((1, 2, 3), random.randint(0, 3)))) for _ in range(4)]
-        assert jump_sets(beta_from_subsets(subs, Q), Q) == tuple(subs)
-
-
-def test_jump_sets_rejects_bad_vectors():
-    Q = build_sun_quiver(2, 2)
-    bad = beta_standard(Q)
-    bad[(1, 1)] = 2  # decreasing along flag 1
-    with pytest.raises(InvalidInputError):
-        jump_sets(bad, Q)
-    bad2 = {v: 0 for v in Q.vertices()}
-    bad2[(2, 1)] = 2  # jump of two
-    with pytest.raises(InvalidInputError):
-        jump_sets(bad2, Q)
 
 
 def test_sigma_from_subsets_hand_values():
