@@ -22,18 +22,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sunlr.generalized import f_sun  # noqa: E402
 from sunlr.hive import build_linear_system, count_sun_hives, lp_feasible, positivity  # noqa: E402
-from sunlr.horn import DEFAULT_T_BUDGET, VARIANTS, HornInequality, in_cone, minimal_facets  # noqa: E402
+from sunlr.horn import DEFAULT_T_BUDGET, VARIANTS, in_cone, minimal_facets  # noqa: E402
 from sunlr.partitions import iter_partition_tuples, pad, size  # noqa: E402
-from sunlr.quiver import build_sun_quiver, dim_si_sun, weight_sigma1  # noqa: E402
+from sunlr.quiver import SunQuiver, dim_si_sun, weight_sigma1  # noqa: E402
 
 
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 2
     m = int(sys.argv[2]) if len(sys.argv) > 2 else 4
     max_entry = int(sys.argv[3]) if len(sys.argv) > 3 else 2
-    Q = build_sun_quiver(n, m // 2)
+    Q = SunQuiver(n, m // 2)
     variants = VARIANTS if 2 ** (n * m) <= DEFAULT_T_BUDGET else ()
-    facets = [HornInequality(st) for st in minimal_facets(n, m)] if variants else None
+    facets = minimal_facets(n, m) if variants else None
     started = time.time()
     checked = 0
     nonzero = 0
@@ -52,7 +52,7 @@ def main():
         if facets is not None:
             full = [pad(l, n) for l in lams]
             horn.append(sum(map(size, lams[0::2])) == sum(map(size, lams[1::2]))
-                        and all(ineq.holds(full) for ineq in facets))
+                        and all(st.holds(full) for st in facets))
         if not (value == hives == weight_space and lp == lp_full == (value > 0)
                 and all(h == (value > 0) for h in horn)):
             print(f"DISAGREEMENT at {lams}: chain={value} hives={hives} "

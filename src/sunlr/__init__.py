@@ -48,7 +48,6 @@ _LAZY = {
         "positivity",
     ),
     "horn": (
-        "HornInequality",
         "SubsetTuple",
         "facets_2_6_golden",
         "factorization_check",
@@ -59,12 +58,7 @@ _LAZY = {
     ),
     "lr": ("lr_coefficient", "lr_hive_count", "rectangular_lr"),
     "partitions": ("conjugate", "contains", "lambda_of_set", "stretch"),
-    "quiver": (
-        "SunQuiver",
-        "build_sun_quiver",
-        "dim_si_sun",
-        "weight_sigma1",
-    ),
+    "quiver": ("SunQuiver", "dim_si_sun", "weight_sigma1"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 _SUBMODULES = frozenset(("cli", "linprog", *_LAZY))

@@ -179,7 +179,7 @@ def _run_f_sun(p, cross_check, budget):
 
         methods = {"chain": value}
         methods["sun_hive_count"] = hive.count_sun_hives(p.lambdas, p.n, budget=budget)
-        Q = quiver.build_sun_quiver(p.n, p.m // 2)
+        Q = quiver.SunQuiver(p.n, p.m // 2)
         methods["weight_space"] = quiver.dim_si_sun(Q, quiver.weight_sigma1(p.lambdas, p.n))
         positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
         report["methods"] = sorted(methods) + ["lp_positivity"]
@@ -253,7 +253,7 @@ def _run_horn_gen(p, cross_check, budget):
         "variant": p.variant,
         "count": len(tuples),
         "tuples": [[list(s) for s in st.subsets] for st in tuples],
-        "inequalities": [horn.HornInequality(st).schema() for st in tuples],
+        "inequalities": [st.schema() for st in tuples],
     }
 
 
@@ -268,14 +268,15 @@ def _run_stretch(p, cross_check, budget):
 def _run_factorize(p, cross_check, budget):
     from . import horn
 
-    subsets = p.subsets
-    if subsets is None:
+    if p.subsets is None:
         tight = horn.find_tight_tuples(p.lambdas, p.n, p.m, budget=budget)
         if not tight:
             raise InvalidInputError("no tight nonempty inequality found for this tuple")
-        subsets = [list(s) for s in tight[0].subsets]
-    rep = horn.factorization_check(p.lambdas, [tuple(s) for s in subsets], p.n, budget=budget)
-    rep.update(_report(p, subsets=[list(s) for s in subsets]))
+        st = tight[0]
+    else:
+        st = horn.SubsetTuple(p.subsets, p.n)
+    rep = horn.factorization_check(p.lambdas, st, p.n, budget=budget)
+    rep.update(_report(p, subsets=[list(s) for s in st.subsets]))
     if not rep["passed"]:
         raise OracleDisagreementError(
             f"factorization identity failed: {rep['value']} != "
@@ -309,7 +310,7 @@ def _run_selftest(p, cross_check, budget):
 
     count = 0
     for n in (1, 2):
-        Q = quiver.build_sun_quiver(n, 2)
+        Q = quiver.SunQuiver(n, 2)
         for lams in iter_partition_tuples(n, 1, 4):
             a = generalized.f_sun(lams, n)
             b = hive.count_sun_hives(lams, n)

@@ -37,7 +37,7 @@ a property we test, never an assumption we exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
@@ -77,16 +77,14 @@ def _check_chain(kind, n, lambdas) -> tuple[IntSeq, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ChainProblem:
+class ChainProblem(namedtuple("ChainProblem", "kind n lambdas")):
     """One chain-sum evaluation request."""
 
-    kind: str
-    n: int
-    lambdas: tuple[IntSeq, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_chain(self.kind, self.n, self.lambdas)
+    def __new__(cls, kind, n, lambdas):
+        _check_chain(kind, n, lambdas)
+        return super().__new__(cls, kind, n, lambdas)
 
 
 def _validated(lambdas, n, kind):
@@ -221,19 +219,19 @@ def f2(lambdas, n: int, budget=None) -> int:
     return _walk({lams[0]: 1}, slots, _lr_tableau_count).get(end, 0)
 
 
-@dataclass(frozen=True)
-class LevelOneSpec:
+class LevelOneSpec(namedtuple("LevelOneSpec", "jumps")):
     """Jump positions of a weight with at most one nonzero entry per flag.
 
     jumps[i] = 0 means the weight vanishes on flag i+1.  J is recomputed on
     access, never stored.
     """
 
-    jumps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(j < 0 for j in self.jumps):
-            raise InvalidInputError(f"jump numbers must be nonnegative, got {list(self.jumps)}")
+    def __new__(cls, jumps):
+        if any(j < 0 for j in jumps):
+            raise InvalidInputError(f"jump numbers must be nonnegative, got {list(jumps)}")
+        return super().__new__(cls, jumps)
 
     @property
     def J(self) -> tuple[int, ...]:

@@ -47,7 +47,7 @@ the reduced rows and the leftover boundary equalities, then hands them to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -84,8 +84,7 @@ def count_sun_hives(lambdas, n: int, *, budget=None) -> int:
     return cyclic_chain_sum(lams, lambda a, b, nu: lr_hive_count(a, b, nu, n), budget=budget)
 
 
-@dataclass
-class LinearSystem:
+class LinearSystem(namedtuple("LinearSystem", "variables ineqs eqs")):
     """Exact system A x <= b, E x = d describing a sun hive polytope.
 
     ``ineqs`` and ``eqs`` hold (coeffs, rhs) rows over ``variables``.  Every
@@ -93,9 +92,7 @@ class LinearSystem:
     linear form in the boundary entries, evaluated.
     """
 
-    variables: tuple[str, ...]
-    ineqs: list
-    eqs: list
+    __slots__ = ()
 
 
 def system_rows(n: int, m: int) -> int:
@@ -217,8 +214,7 @@ def lp_feasible(system: LinearSystem) -> bool:
     return feasible(system.ineqs, system.eqs, len(system.variables))
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(namedtuple("ReducedSystem", "live ineqs eqs")):
     """The hive system of one shape (n, m) with its equations eliminated, rhs symbolic.
 
     ``live`` holds the indices (into ``_hive_rows``' variables) of the
@@ -227,9 +223,7 @@ class ReducedSystem:
     boundary equalities left over, each reading 0 = form . boundary.
     """
 
-    live: tuple
-    ineqs: tuple
-    eqs: tuple
+    __slots__ = ()
 
 
 @lru_cache(maxsize=8)

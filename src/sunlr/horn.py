@@ -35,7 +35,7 @@ complements; ``factorization_check`` verifies that identity exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -65,52 +65,48 @@ DEFAULT_T_BUDGET = 1 << 16
 VARIANTS = ("one", "nonzero")
 
 
-@dataclass(frozen=True)
-class SubsetTuple:
-    subsets: tuple[IntSeq, ...]
-    n: int
+class SubsetTuple(namedtuple("SubsetTuple", "subsets n")):
+    """A subset tuple I = (I_1, ..., I_m) of {1..n} and the inequality it indexes:
+    even side <= odd side.
 
-    def __post_init__(self):
-        m = len(self.subsets)
+    Each subset is stored sorted; two tuples are equal, and hash alike, when
+    their subsets and n are.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, subsets, n):
+        m = len(subsets)
         if m < 4 or m % 2:
             raise UnsupportedShapeError(f"need an even number m >= 4 of subsets, got {m}")
-        for s in self.subsets:
-            check_subset(s, self.n)
+        return super().__new__(cls, tuple(check_subset(s, n) for s in subsets), n)
 
     @property
     def m(self) -> int:
         return len(self.subsets)
-
-
-@dataclass(frozen=True)
-class HornInequality:
-    """even-side <= odd-side, encoded by its subset tuple."""
-
-    tuple: SubsetTuple
 
     def coefficient_vector(self) -> tuple[int, ...]:
         """Coefficients of (even side - odd side) over coordinates l(i)_j.
 
         Coordinate order: flag-major, (i, j) = (1,1), (1,2), ..., (m,n).
         """
-        st = self.tuple
-        coeffs = [0] * (st.m * st.n)
-        for i, subset in enumerate(st.subsets, start=1):
+        coeffs = [0] * (self.m * self.n)
+        for i, subset in enumerate(self.subsets, start=1):
             sgn = 1 if i % 2 == 0 else -1
             for j in subset:
-                coeffs[(i - 1) * st.n + (j - 1)] = sgn
+                coeffs[(i - 1) * self.n + (j - 1)] = sgn
         return tuple(coeffs)
 
     def sides(self, lambdas_full):
         even = sum(
             lambdas_full[i - 1][j - 1]
-            for i, subset in enumerate(self.tuple.subsets, start=1)
+            for i, subset in enumerate(self.subsets, start=1)
             if i % 2 == 0
             for j in subset
         )
         odd = sum(
             lambdas_full[i - 1][j - 1]
-            for i, subset in enumerate(self.tuple.subsets, start=1)
+            for i, subset in enumerate(self.subsets, start=1)
             if i % 2 == 1
             for j in subset
         )
@@ -126,12 +122,11 @@ class HornInequality:
 
     def schema(self) -> str:
         """Human-readable rendering, |l(i)| for a full subset."""
-        st = self.tuple
-        full = tuple(range(1, st.n + 1))
+        full = tuple(range(1, self.n + 1))
 
         def side(parity):
             terms = []
-            for i, subset in enumerate(st.subsets, start=1):
+            for i, subset in enumerate(self.subsets, start=1):
                 if i % 2 != parity or not subset:
                     continue
                 if subset == full:
@@ -143,6 +138,11 @@ class HornInequality:
         return f"{side(0)} <= {side(1)}"
 
 
+def _subset_tuple(subsets, n: int) -> SubsetTuple:
+    """``subsets`` as it is if it is a SubsetTuple, else validated and sorted into one."""
+    return subsets if isinstance(subsets, SubsetTuple) else SubsetTuple(subsets, n)
+
+
 def _padded_conjugate(subset, n: int) -> IntSeq:
     """conj(lambda(I)) padded with zeros to n - |I| entries, for a sorted subset I."""
     conj = conjugate(lambda_of_sorted_set(subset))
@@ -151,13 +151,12 @@ def _padded_conjugate(subset, n: int) -> IntSeq:
 
 def underline_lambda(subsets, n: int) -> tuple[IntSeq, ...]:
     """The sequence tuple attached to a subset tuple (entries may go negative)."""
-    st = subsets if isinstance(subsets, SubsetTuple) else SubsetTuple(tuple(tuple(s) for s in subsets), n)
+    st = _subset_tuple(subsets, n)
     m = st.m
     out = []
     for i in range(1, m + 1):
         I = st.subsets[i - 1]
-        # SubsetTuple validated I on construction
-        padded = _padded_conjugate(sorted(I), n)
+        padded = _padded_conjugate(I, n)
         if i % 2 == 1:
             prev = st.subsets[(i - 2) % m]
             nxt = st.subsets[i % m]
@@ -279,7 +278,7 @@ def _index_rows(tuples, n: int, m: int, variant: str) -> tuple:
     if rows is None:
         rows = []
         for st in tuples:
-            vec = HornInequality(st).coefficient_vector()
+            vec = st.coefficient_vector()
             rows.append((
                 tuple(k for k, c in enumerate(vec) if c > 0),
                 tuple(k for k, c in enumerate(vec) if c < 0),
@@ -308,14 +307,12 @@ def in_cone(lambdas, n: int, m: int, variant: str = "one", budget=None) -> bool:
     return all(sum(map(get, lo)) <= sum(map(get, hi)) for lo, hi in rows)
 
 
-def restrict_to_subsets(lambdas, subsets, n: int, complement=False) -> tuple[IntSeq, ...]:
+def restrict_to_subsets(full, subsets, complement=False) -> tuple[IntSeq, ...]:
     """Entries of each padded l(i) at the positions in I_i (or its complement)."""
-    out = []
-    for lam, subset in zip(lambdas, subsets):
-        full = pad(check_partition(lam), n)
-        positions = sorted(set(range(1, n + 1)) - set(subset)) if complement else list(subset)
-        out.append(tuple(full[p - 1] for p in positions))
-    return tuple(out)
+    return tuple(
+        tuple(x for p, x in enumerate(lam, start=1) if (p in subset) != complement)
+        for lam, subset in zip(full, subsets)
+    )
 
 
 def factorization_check(lambdas, subsets, n: int, budget=None) -> dict:
@@ -327,7 +324,7 @@ def factorization_check(lambdas, subsets, n: int, budget=None) -> dict:
     (reporting the slack when it is nonzero).
     """
     m = len(lambdas)
-    st = subsets if isinstance(subsets, SubsetTuple) else SubsetTuple(tuple(tuple(s) for s in subsets), n)
+    st = _subset_tuple(subsets, n)
     if st.m != m:
         raise InvalidInputError(f"subset tuple has {st.m} flags but {m} sequences given")
     lams = tuple(check_partition(l, f"lambda({i})") for i, l in enumerate(lambdas, start=1))
@@ -343,13 +340,13 @@ def factorization_check(lambdas, subsets, n: int, budget=None) -> dict:
             "subset tuple is not a minimal wall candidate (attached multiplicity != 1)"
         )
     full = [pad(l, n) for l in lams]
-    slack = HornInequality(st).slack(full)
+    slack = st.slack(full)
     if slack != 0:
         raise WallPreconditionError(
             f"inequality is not tight for this tuple (slack {slack})", slack
         )
-    star = restrict_to_subsets(lams, st.subsets, n)
-    sharp = restrict_to_subsets(lams, st.subsets, n, complement=True)
+    star = restrict_to_subsets(full, st.subsets)
+    sharp = restrict_to_subsets(full, st.subsets, complement=True)
     n_star = max((len(s) for s in star), default=0) or 1
     n_sharp = max((len(s) for s in sharp), default=0) or 1
     value = f_sun(lams, n, budget=budget)
@@ -369,7 +366,7 @@ def find_tight_tuples(lambdas, n: int, m: int, *, budget=None):
     """All nonempty minimal-candidate tuples whose inequality is tight for this integer tuple."""
     full = [pad(check_partition(l), n) for l in lambdas]
     tuples = generate_T(n, m, budget=budget)
-    return [st for st in tuples if any(st.subsets) and HornInequality(st).slack(full) == 0]
+    return [st for st in tuples if any(st.subsets) and st.slack(full) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +447,7 @@ def minimal_facets(n: int, m: int, budget=None) -> list[SubsetTuple]:
     if key in _FACET_CACHE:
         return list(_FACET_CACHE[key])
     tuples = generate_T(n, m, "one", budget=budget)
-    vectors = {st.subsets: HornInequality(st).coefficient_vector() for st in tuples}
+    vectors = {st.subsets: st.coefficient_vector() for st in tuples}
     live = dict(zip(vectors, cone_columns(vectors.values(), [])))
     fixed = cone_columns(_chamber_rows(n, m), [_balance_row(n, m)])
     by_orbit: dict[tuple, list[SubsetTuple]] = {}
@@ -515,7 +512,7 @@ def facet_record(st: SubsetTuple, ident: int) -> dict:
     return {
         "id": ident,
         "subsets": [list(s) for s in st.subsets],
-        "inequality": HornInequality(st).schema(),
+        "inequality": st.schema(),
         "beta1_flags": beta_flags,
         "beta1_outer_as_printed": [beta_flags[i - 1][0] for i in order],
         "beta1_central_as_printed": [beta_flags[i - 1][1] for i in order],

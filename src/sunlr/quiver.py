@@ -23,7 +23,7 @@ attached sequences, which is the cross-check the tests pin down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidInputError, UnsupportedShapeError
 from .generalized import f_sun
@@ -33,22 +33,21 @@ Vertex = tuple[int, int]
 VertexMap = dict[Vertex, int]
 
 
-@dataclass(frozen=True)
-class SunQuiver:
+class SunQuiver(namedtuple("SunQuiver", "n k")):
     """The paper's quiver: 2k flags of length n glued around a central 2k-gon.
 
     Weights and dimension vectors live on its vertices; the Euler form and
     the fundamental region are read off its arrows.
     """
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError(f"flag length n must be >= 1, got {self.n}")
-        if self.k < 2:
-            raise UnsupportedShapeError(f"need k >= 2 central pairs, got k={self.k}")
+    def __new__(cls, n, k):
+        if n < 1:
+            raise InvalidInputError(f"flag length n must be >= 1, got {n}")
+        if k < 2:
+            raise UnsupportedShapeError(f"need k >= 2 central pairs, got k={k}")
+        return super().__new__(cls, n, k)
 
     @property
     def m(self) -> int:
@@ -79,10 +78,6 @@ class SunQuiver:
 
     def arrows(self) -> list[tuple[Vertex, Vertex]]:
         return self.flag_arrows() + self.central_arrows()
-
-
-def build_sun_quiver(n: int, k: int) -> SunQuiver:
-    return SunQuiver(n, k)
 
 
 def _check_defined(Q, vec, what):

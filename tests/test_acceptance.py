@@ -20,7 +20,7 @@ from sunlr.horn import (
 )
 from sunlr.lr import lr_coefficient, lr_hive_count, rectangular_lr
 from sunlr.partitions import iter_partition_tuples, partitions_in_box, stretch
-from sunlr.quiver import build_sun_quiver, dim_si_sun, weight_sigma1
+from sunlr.quiver import SunQuiver, dim_si_sun, weight_sigma1
 
 
 def _report(num, message):
@@ -31,7 +31,7 @@ def test_criterion_1_four_way_oracle_equivalence():
     started = time.time()
     checked = 0
     for n in (1, 2):
-        Q = build_sun_quiver(n, 2)
+        Q = SunQuiver(n, 2)
         for lams in iter_partition_tuples(n, 2, 4):
             chain = f_sun(lams, n)
             hives = count_sun_hives(lams, n)

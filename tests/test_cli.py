@@ -283,6 +283,15 @@ def test_main_factorize_with_explicit_subsets(capsys, monkeypatch):
     report = json.loads(out)
     assert report["passed"] is True
     assert report["value"] == report["value_star"] * report["value_sharp"]
+    # {2, 1} is the subset {1, 2}: the same report, the echoed subsets sorted
+    outs = []
+    for third in ([2, 1], [1, 2]):
+        subsets = [[1, 2], [], third, [1, 2]]
+        stdin = doc(kind="factorize", n=2, lambdas=[[], [], [3, 2], [3, 2]], subsets=subsets)
+        code, out = run_cli(capsys, ["factorize"], stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 0, out
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_main_facets26(capsys, monkeypatch):

@@ -185,7 +185,7 @@ def test_m4_n1_integer_points_match_lp():
 
 
 def test_count_larger_samples_match_all_oracles():
-    from sunlr.quiver import build_sun_quiver, dim_si_sun, weight_sigma1
+    from sunlr.quiver import SunQuiver, dim_si_sun, weight_sigma1
 
     samples = [
         ([(2, 1), (1, 1), (2, 0), (1, 1), (1, 0), (2, 2)], 2),
@@ -197,7 +197,7 @@ def test_count_larger_samples_match_all_oracles():
     for lams, n in samples:
         value = f_sun(lams, n)
         assert count_sun_hives(lams, n) == value, (lams, n)
-        Q = build_sun_quiver(n, len(lams) // 2)
+        Q = SunQuiver(n, len(lams) // 2)
         assert dim_si_sun(Q, weight_sigma1(lams, n)) == value, (lams, n)
         assert positivity(lams, n) == (value > 0), (lams, n)
 

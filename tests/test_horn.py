@@ -15,7 +15,6 @@ from sunlr.errors import (
 from sunlr.generalized import f_sun
 from sunlr.horn import (
     VARIANTS,
-    HornInequality,
     SubsetTuple,
     apply_permutation,
     canonical_orbit_representative,
@@ -184,7 +183,7 @@ def test_in_cone_matches_fraction_inequalities(n, m, data):
     lams, full = _rational_tuple(data, n, m)
     variant = data.draw(st.sampled_from(VARIANTS))
     balanced = sum(map(sum, full[0::2])) == sum(map(sum, full[1::2]))
-    expected = balanced and all(HornInequality(t).holds(full) for t in generate_T(n, m, variant))
+    expected = balanced and all(t.holds(full) for t in generate_T(n, m, variant))
     assert in_cone(lams, n, m, variant) == expected
 
 
@@ -248,6 +247,30 @@ def test_factorization_on_found_walls():
     assert checked >= 20
 
 
+def test_factorization_sorts_subsets():
+    # {2, 1} is the subset {1, 2}: the same split, values and inequality
+    lams = [(), (), (3, 2), (3, 2)]
+    unsorted, ordered = [[1, 2], [], [2, 1], [1, 2]], [[1, 2], [], [1, 2], [1, 2]]
+    rep = factorization_check(lams, unsorted, 2)
+    assert rep == factorization_check(lams, ordered, 2)
+    assert rep["passed"] and rep["star"] == [[0, 0], [], [3, 2], [3, 2]]
+    assert SubsetTuple(unsorted, 2) == SubsetTuple(ordered, 2)
+    assert SubsetTuple(unsorted, 2).schema() == "|l(4)| <= |l(1)| + |l(3)|"
+
+
+def test_cold_rebuilds_compare_equal(monkeypatch):
+    # the benchmark compares the answers of rounds that each start on empty caches
+    builds = []
+    for _ in range(2):
+        monkeypatch.setattr(horn, "_T_CACHE", {})
+        monkeypatch.setattr(horn, "_FACET_CACHE", {})
+        builds.append(generate_T(2, 4) + minimal_facets(2, 4))
+    first, again = builds
+    assert len(first) == len(again)
+    for a, b in zip(first, again):
+        assert a is not b and a == b and hash(a) == hash(b)
+
+
 def test_symmetry_group_structure():
     group = symmetry_group(6)
     assert len(group) == 6
@@ -281,7 +304,7 @@ def test_golden_file_is_selfconsistent():
     reps = set()
     for rec in golden["facets"]:
         st = SubsetTuple(tuple(tuple(s) for s in rec["subsets"]), 2)
-        assert HornInequality(st).schema() == rec["inequality"]
+        assert st.schema() == rec["inequality"]
         under = underline_lambda(st, 2)
         assert f_sun(under, 2) == 1
         reps.add(canonical_orbit_representative(st.subsets, 6))
@@ -299,7 +322,7 @@ def test_golden_inequalities_hold_on_interior_point():
     full = [pad((1, 0), 2)] * 6
     for rec in facets_2_6_golden()["facets"]:
         st = SubsetTuple(tuple(tuple(s) for s in rec["subsets"]), 2)
-        assert HornInequality(st).holds(full)
+        assert st.holds(full)
 
 
 def test_minimal_facets_split_into_trivial_and_regular():
@@ -314,7 +337,7 @@ def _reference_minimal_facets(n, m):
     """minimal_facets by its definition: each candidate is solved against all
     the other candidates, the chamber rows and the balance equality, with no
     orbits and no column dropped.  Shares the LP with minimal_facets."""
-    vectors = {st.subsets: HornInequality(st).coefficient_vector() for st in generate_T(n, m)}
+    vectors = {st.subsets: st.coefficient_vector() for st in generate_T(n, m)}
     chamber = horn._chamber_rows(n, m)
     balance = horn._balance_row(n, m)
     kept = []

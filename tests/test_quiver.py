@@ -5,7 +5,7 @@ import pytest
 from sunlr.errors import InvalidInputError, UnsupportedShapeError
 from sunlr.generalized import f_sun
 from sunlr.partitions import iter_partition_tuples
-from sunlr.quiver import build_sun_quiver, dim_si_sun, weight_sigma1
+from sunlr.quiver import SunQuiver, dim_si_sun, weight_sigma1
 
 
 def beta_standard(Q):
@@ -69,19 +69,19 @@ def is_fundamental_schur(Q, b):
 
 
 def test_construction_counts():
-    Q = build_sun_quiver(1, 2)
+    Q = SunQuiver(1, 2)
     assert len(Q.vertices()) == 4
     assert len(Q.flag_arrows()) == 0
     assert len(Q.central_arrows()) == 4
-    Q = build_sun_quiver(2, 3)
+    Q = SunQuiver(2, 3)
     assert len(Q.vertices()) == 12
     assert len(Q.flag_arrows()) == 6
     assert len(Q.central_arrows()) == 6
-    assert len(build_sun_quiver(3, 3).vertices()) == 18
+    assert len(SunQuiver(3, 3).vertices()) == 18
 
 
 def test_flag_orientation():
-    Q = build_sun_quiver(2, 2)
+    Q = SunQuiver(2, 2)
     # even flags point into the center, odd flags point out
     assert ((1, 2), (2, 2)) in Q.flag_arrows()
     assert ((2, 1), (1, 1)) in Q.flag_arrows()
@@ -92,11 +92,11 @@ def test_flag_orientation():
 
 def test_k_lower_bound():
     with pytest.raises(UnsupportedShapeError):
-        build_sun_quiver(2, 1)
+        SunQuiver(2, 1)
 
 
 def test_euler_form_examples():
-    Q = build_sun_quiver(1, 2)
+    Q = SunQuiver(1, 2)
     b = beta_standard(Q)
     assert euler_form(Q, b, b) == 0
     e = unit_vector(Q, (1, 1))
@@ -112,7 +112,7 @@ def test_sigma1_values():
 
 
 def test_sigma1_balance_iff_sigma_of_beta_zero():
-    Q = build_sun_quiver(2, 3)
+    Q = SunQuiver(2, 3)
     beta = beta_standard(Q)
     assert sigma_apply(weight_sigma1([(1, 0)] * 6, 2), beta) == 0
     perturbed = [(1, 0), (2, 0), (1, 0), (1, 0), (1, 0), (1, 0)]
@@ -120,7 +120,7 @@ def test_sigma1_balance_iff_sigma_of_beta_zero():
 
 
 def test_dim_si_sun_examples():
-    Q = build_sun_quiver(2, 3)
+    Q = SunQuiver(2, 3)
     sigma = weight_sigma1([(1, 0)] * 6, 2)
     assert dim_si_sun(Q, sigma) == 2
     bad = dict(sigma)
@@ -131,13 +131,13 @@ def test_dim_si_sun_examples():
 
 def test_dim_si_sun_matches_chain_sum_exhaustively():
     for n in (1, 2):
-        Q = build_sun_quiver(n, 2)
+        Q = SunQuiver(n, 2)
         for lams in iter_partition_tuples(n, 2, 4):
             assert dim_si_sun(Q, weight_sigma1(lams, n)) == f_sun(lams, n)
 
 
 def test_beta_from_subsets_examples():
-    Q = build_sun_quiver(3, 2)
+    Q = SunQuiver(3, 2)
     full = beta_from_subsets([(1, 2, 3)] * 4, Q)
     assert full == beta_standard(Q)
     b = beta_from_subsets([(2,), (1, 3), (), (1, 2, 3)], Q)
@@ -147,7 +147,7 @@ def test_beta_from_subsets_examples():
 
 
 def test_sigma_from_subsets_hand_values():
-    Q = build_sun_quiver(2, 3)
+    Q = SunQuiver(2, 3)
     zero = sigma_from_subsets([()] * 6, Q)
     assert all(v == 0 for v in zero.values())
     s = sigma_from_subsets([(2,)] * 6, Q)
@@ -159,7 +159,7 @@ def test_sigma_from_subsets_hand_values():
 def test_sigma_from_subsets_is_euler_pairing():
     random.seed(9)
     for n, k in [(1, 2), (2, 2), (2, 3), (3, 2)]:
-        Q = build_sun_quiver(n, k)
+        Q = SunQuiver(n, k)
         for _ in range(12):
             subs = [
                 tuple(sorted(random.sample(range(1, n + 1), random.randint(0, n))))
@@ -172,10 +172,10 @@ def test_sigma_from_subsets_is_euler_pairing():
 
 
 def test_sigma1_of_beta_I_matches_horn_sides():
-    from sunlr.horn import HornInequality, SubsetTuple
+    from sunlr.horn import SubsetTuple
     from sunlr.partitions import pad
 
-    Q = build_sun_quiver(2, 3)
+    Q = SunQuiver(2, 3)
     random.seed(17)
     for _ in range(25):
         subs = tuple(
@@ -187,16 +187,16 @@ def test_sigma1_of_beta_I_matches_horn_sides():
             lams.append((a, random.randint(0, a)))
         sigma = weight_sigma1(lams, 2)
         bI = beta_from_subsets(subs, Q)
-        even, odd = HornInequality(SubsetTuple(subs, 2)).sides([pad(l, 2) for l in lams])
+        even, odd = SubsetTuple(subs, 2).sides([pad(l, 2) for l in lams])
         assert sigma_apply(sigma, bI) == even - odd
 
 
 def test_fundamental_region():
     for n in (1, 2, 3, 4):
         for k in (2, 3):
-            Q = build_sun_quiver(n, k)
+            Q = SunQuiver(n, k)
             assert is_fundamental_schur(Q, beta_standard(Q))
-    Q = build_sun_quiver(2, 2)
+    Q = SunQuiver(2, 2)
     assert not is_fundamental_schur(Q, unit_vector(Q, (1, 1)))
     disconnected = {v: 0 for v in Q.vertices()}
     disconnected[(1, 1)] = 1
