@@ -4,6 +4,7 @@
 Level-1 families must print binomials C(N+s, N); the last examples go
 beyond level 1, where no closed form is implemented and the chain engine
 does the work.  A quick empirical check of the P(1)=1 and P(1)=2 patterns.
+Exits 1 when a level-1 table differs from its closed form.
 """
 
 import sys
@@ -25,6 +26,7 @@ FAMILIES = [
 
 
 def main():
+    mismatches = 0
     for label, problem in FAMILIES:
         values = stretched_table(problem, N_MAX)
         print(f"{label:28s} N=1..{N_MAX}: {values}")
@@ -33,8 +35,9 @@ def main():
             spec = LevelOneSpec(jumps)
             closed = [level1_f(spec, N) for N in range(1, N_MAX + 1)]
             status = "ok" if closed == values else "MISMATCH"
+            mismatches += closed != values
             print(f"{'':28s} closed form:   {closed}  [{status}]")
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

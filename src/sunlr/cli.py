@@ -177,11 +177,13 @@ def _run_f_sun(p, cross_check, budget):
     if cross_check:
         from . import hive, quiver
 
+        # the LP first: its row budget comes before any O(n) work, and its
+        # rows outnumber each hive factor's choice points, so it bounds them too
+        positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
         methods = {"chain": value}
         methods["sun_hive_count"] = hive.count_sun_hives(p.lambdas, p.n, budget=budget)
         Q = quiver.SunQuiver(p.n, p.m // 2)
         methods["weight_space"] = quiver.dim_si_sun(Q, quiver.weight_sigma1(p.lambdas, p.n))
-        positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
         report["methods"] = sorted(methods) + ["lp_positivity"]
         report["cross_check"] = {k: v for k, v in sorted(methods.items())}
         report["cross_check"]["lp_positivity"] = positive
@@ -269,7 +271,7 @@ def _run_factorize(p, cross_check, budget):
     from . import horn
 
     if p.subsets is None:
-        tight = horn.find_tight_tuples(p.lambdas, p.n, p.m, budget=budget)
+        tight = horn.find_tight_tuples(p.lambdas, p.n, budget=budget)
         if not tight:
             raise InvalidInputError("no tight nonempty inequality found for this tuple")
         st = tight[0]

@@ -44,7 +44,7 @@ from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeErro
 from .lr import _lr_tableau_count, lr_coefficient
 from .partitions import (
     IntSeq,
-    check_sequence,
+    check_sequences,
     minimum,
     partitions_in_box,
     partitions_of_size_in_box,
@@ -59,8 +59,6 @@ def _check_chain(kind, n, lambdas) -> tuple[IntSeq, ...]:
     """Check a chain-sum request on its raw sequences; return them canonical."""
     if kind not in KINDS:
         raise InvalidInputError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    if n < 1:
-        raise InvalidInputError(f"rank n must be >= 1, got {n}")
     m = len(lambdas)
     if kind == "f_sun" and (m < 4 or m % 2):
         raise UnsupportedShapeError(f"f_sun needs an even number m >= 4 of sequences, got m={m}")
@@ -68,13 +66,7 @@ def _check_chain(kind, n, lambdas) -> tuple[IntSeq, ...]:
         raise UnsupportedShapeError(f"f1 needs m >= 4 sequences, got m={m}")
     if kind == "f2" and m < 3:
         raise UnsupportedShapeError(f"f2 needs m >= 3 sequences, got m={m}")
-    out = []
-    for idx, lam in enumerate(lambdas, start=1):
-        parts = check_sequence(lam, f"lambda({idx})")
-        if len(parts) > n:
-            raise InvalidInputError(f"lambda({idx}) = {list(lam)} has more than n={n} parts")
-        out.append(parts)
-    return tuple(out)
+    return check_sequences(lambdas, n)
 
 
 class ChainProblem(namedtuple("ChainProblem", "kind n lambdas")):

@@ -56,21 +56,16 @@ from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeErro
 from .generalized import cyclic_chain_sum
 from .linprog import _echelon, _reduce, feasible
 from .lr import lr_hive_count
-from .partitions import canonical, check_partition, pad
+from .partitions import check_sequences
 
 
 def _check_boundary(lambdas, n, m):
+    """The m boundary partitions, canonical and unpadded."""
     if len(lambdas) != m:
         raise InvalidInputError(f"expected {m} boundary sequences, got {len(lambdas)}")
     if m < 4 or m % 2:
         raise UnsupportedShapeError(f"need an even number m >= 4 of boundary sequences, got {m}")
-    out = []
-    for idx, lam in enumerate(lambdas, start=1):
-        parts = check_partition(lam, f"lambda({idx})")
-        if len(parts) > n:
-            raise InvalidInputError(f"lambda({idx}) = {list(lam)} has more than n={n} parts")
-        out.append(pad(parts, n))
-    return out
+    return check_sequences(lambdas, n, partitions=True)
 
 
 def count_sun_hives(lambdas, n: int, *, budget=None) -> int:
@@ -80,7 +75,7 @@ def count_sun_hives(lambdas, n: int, *, budget=None) -> int:
     enumerator, never the tableau counter, so this is an oracle independent
     of the chain sum it must agree with.
     """
-    lams = tuple(canonical(l) for l in _check_boundary(lambdas, n, len(lambdas)))
+    lams = _check_boundary(lambdas, n, len(lambdas))
     return cyclic_chain_sum(lams, lambda a, b, nu: lr_hive_count(a, b, nu, n), budget=budget)
 
 
@@ -184,8 +179,9 @@ def _hive_rows(n: int, m: int):
     return tuple(names), ineqs, eqs
 
 
-def _boundary_vector(full):
-    return [x for lam in full for x in lam]
+def _boundary_vector(lams, n):
+    """The boundary coordinates: each partition padded to n parts, flag-major."""
+    return [x for lam in lams for x in lam + (0,) * (n - len(lam))]
 
 
 def _evaluate(form, beta) -> int:
@@ -199,7 +195,7 @@ def build_linear_system(lambdas, n: int, m=None) -> LinearSystem:
     base edges enter the right-hand sides as boundary constants.
     """
     m = len(lambdas) if m is None else m
-    beta = _boundary_vector(_check_boundary(lambdas, n, m))
+    beta = _boundary_vector(_check_boundary(lambdas, n, m), n)
     names, ineqs, eqs = _hive_rows(n, m)
     k = len(names)
 
@@ -261,14 +257,15 @@ def positivity(lambdas, n: int, m=None, budget=None) -> bool:
     leftover boundary equalities enter as equations with no variables, so
     an unbalanced boundary is refused by the equality elimination.
     ``budget`` caps ``system_rows(n, m)``, the rows of the unreduced system,
-    and is checked before any system is built, eliminated or pivoted.
+    and is checked before any padding to n or any system is built.
     """
     m = len(lambdas) if m is None else m
-    beta = _boundary_vector(_check_boundary(lambdas, n, m))
+    lams = _check_boundary(lambdas, n, m)
     if budget is not None:
         rows = system_rows(n, m)
         if rows > budget:
             raise BudgetExceededError(f"linear program needs {rows} rows, budget is {budget}")
+    beta = _boundary_vector(lams, n)
     reduced = reduced_system(n, m)
     nvars = len(reduced.live)
     ineqs = [(a, _evaluate(form, beta)) for a, form in reduced.ineqs]

@@ -52,10 +52,11 @@ from .linprog import cone_columns, cone_implied
 from .partitions import (
     IntSeq,
     canonical,
-    check_partition,
+    check_sequences,
     check_subset,
     conjugate,
     is_partition,
+    is_weakly_decreasing,
     lambda_of_sorted_set,
     pad,
 )
@@ -228,7 +229,8 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
     if n < 1:
         raise InvalidInputError(f"flag length n must be >= 1, got {n}")
     cap = DEFAULT_T_BUDGET if budget is None else budget
-    if 2 ** (n * m) > cap:
+    # 2^(n*m) > cap, without building 2^(n*m)
+    if cap < 1 or n * m >= cap.bit_length():
         raise BudgetExceededError(
             f"generate_T would enumerate 2^{n*m} subset tuples, budget is {cap}"
         )
@@ -253,22 +255,20 @@ def _rational(x):
     raise InvalidInputError(f"expected an exact rational, got {x!r}")
 
 
-def check_rational_tuple(lambdas, n: int, m: int):
-    """Validate and pad a tuple of weakly decreasing rational sequences."""
+def _check_rational_tuple(lambdas, n: int, m: int):
+    """Validate rational sequences, weakly decreasing once zero-padded to n; return them unpadded."""
     if len(lambdas) != m:
         raise InvalidInputError(f"expected {m} sequences, got {len(lambdas)}")
-    full = []
+    out = []
     for idx, lam in enumerate(lambdas, start=1):
         vals = [_rational(x) for x in lam]
         if len(vals) > n:
             raise InvalidInputError(f"lambda({idx}) has more than n={n} entries")
-        vals = vals + [0] * (n - len(vals))
-        if any(vals[i] < vals[i + 1] for i in range(n - 1)):
-            raise InvalidInputError(
-                f"lambda({idx}) = {lam} is not weakly decreasing after zero padding"
-            )
-        full.append(tuple(vals))
-    return full
+        # one zero stands for the padding
+        if not is_weakly_decreasing(vals + [0] * (len(vals) < n)):
+            raise InvalidInputError(f"lambda({idx}) = {lam} is not weakly decreasing after zero padding")
+        out.append(vals)
+    return out
 
 
 def _index_rows(tuples, n: int, m: int, variant: str) -> tuple:
@@ -291,18 +291,18 @@ def in_cone(lambdas, n: int, m: int, variant: str = "one", budget=None) -> bool:
     """Membership in the rational cone cut out by the Horn-type inequalities.
 
     The tuple is scaled once by the lcm of its denominators, so each
-    inequality is a comparison of two sums of Python integers.
+    inequality is a comparison of two sums of Python integers.  It is
+    padded to n only after ``generate_T`` has checked its budget.
     """
     if m < 4 or m % 2:
         raise UnsupportedShapeError(f"need an even number m >= 4 of flags, got m={m}")
-    full = check_rational_tuple(lambdas, n, m)
-    scale = lcm(*(x.denominator for lam in full for x in lam))
-    flat = [x.numerator * (scale // x.denominator) for lam in full for x in lam]
-    odd = sum(sum(flat[i * n:(i + 1) * n]) for i in range(0, m, 2))
-    even = sum(sum(flat[i * n:(i + 1) * n]) for i in range(1, m, 2))
-    if odd != even:
+    lams = _check_rational_tuple(lambdas, n, m)
+    scale = lcm(*(x.denominator for lam in lams for x in lam))
+    scaled = [[x.numerator * (scale // x.denominator) for x in lam] for lam in lams]
+    if sum(map(sum, scaled[0::2])) != sum(map(sum, scaled[1::2])):
         return False
     rows = _index_rows(generate_T(n, m, variant, budget=budget), n, m, variant)
+    flat = [x for lam in scaled for x in lam + [0] * (n - len(lam))]
     get = flat.__getitem__
     return all(sum(map(get, lo)) <= sum(map(get, hi)) for lo, hi in rows)
 
@@ -327,7 +327,7 @@ def factorization_check(lambdas, subsets, n: int, budget=None) -> dict:
     st = _subset_tuple(subsets, n)
     if st.m != m:
         raise InvalidInputError(f"subset tuple has {st.m} flags but {m} sequences given")
-    lams = tuple(check_partition(l, f"lambda({i})") for i, l in enumerate(lambdas, start=1))
+    lams = check_sequences(lambdas, n, partitions=True)
     under = underline_lambda(st, n)
     if not all(is_partition(u) for u in under):
         raise InvalidInputError("subset tuple fails the partition conditions for a wall")
@@ -362,10 +362,11 @@ def factorization_check(lambdas, subsets, n: int, budget=None) -> dict:
     }
 
 
-def find_tight_tuples(lambdas, n: int, m: int, *, budget=None):
+def find_tight_tuples(lambdas, n: int, *, budget=None):
     """All nonempty minimal-candidate tuples whose inequality is tight for this integer tuple."""
-    full = [pad(check_partition(l), n) for l in lambdas]
-    tuples = generate_T(n, m, budget=budget)
+    lams = check_sequences(lambdas, n, partitions=True)
+    tuples = generate_T(n, len(lams), budget=budget)
+    full = [pad(l, n) for l in lams]
     return [st for st in tuples if any(st.subsets) and st.slack(full) == 0]
 
 
@@ -425,7 +426,7 @@ def _balance_row(n: int, m: int):
 _FACET_CACHE: dict[tuple, tuple] = {}
 
 
-def minimal_facets(n: int, m: int, budget=None) -> list[SubsetTuple]:
+def minimal_facets(n: int, m: int) -> list[SubsetTuple]:
     """Irredundant subset of the candidate inequalities, by exact LP.
 
     A candidate is kept iff its row is not a nonnegative combination of the
@@ -446,7 +447,7 @@ def minimal_facets(n: int, m: int, budget=None) -> list[SubsetTuple]:
     key = (n, m)
     if key in _FACET_CACHE:
         return list(_FACET_CACHE[key])
-    tuples = generate_T(n, m, "one", budget=budget)
+    tuples = generate_T(n, m, "one")
     vectors = {st.subsets: st.coefficient_vector() for st in tuples}
     live = dict(zip(vectors, cone_columns(vectors.values(), [])))
     fixed = cone_columns(_chamber_rows(n, m), [_balance_row(n, m)])
@@ -480,9 +481,9 @@ def is_trivial_facet(st: SubsetTuple) -> bool:
     return total in (1, st.m * st.n * (st.n + 1) // 2 - 1)
 
 
-def regular_facets(n: int, m: int, budget=None) -> list[SubsetTuple]:
+def regular_facets(n: int, m: int) -> list[SubsetTuple]:
     """Facets other than the trivial (simple-root) ones."""
-    return [st for st in minimal_facets(n, m, budget=budget) if not is_trivial_facet(st)]
+    return [st for st in minimal_facets(n, m) if not is_trivial_facet(st)]
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +525,13 @@ def _by_orbit(records) -> dict:
     return {canonical_orbit_representative(tuple(map(tuple, rec["subsets"])), 6): rec for rec in records}
 
 
-def computed_facets_2_6(budget=None) -> dict:
+def computed_facets_2_6() -> dict:
     """Recompute the (2, 6) regular facet data from scratch, symmetry-reduced.
 
     Orbit representatives are chosen to match the golden list when the
     orbits agree; otherwise the canonical (minimal) representative is used.
     """
-    facets = regular_facets(2, 6, budget=budget)
+    facets = regular_facets(2, 6)
     golden = facets_2_6_golden()
     printed = {rep: tuple(map(tuple, rec["subsets"])) for rep, rec in _by_orbit(golden["facets"]).items()}
     reps = sorted({canonical_orbit_representative(st.subsets, 6) for st in facets})
@@ -545,14 +546,14 @@ def computed_facets_2_6(budget=None) -> dict:
     }
 
 
-def verify_facets_2_6(budget=None) -> dict:
+def verify_facets_2_6() -> dict:
     """Bit-exact comparison of recomputed facet data against the golden file.
 
     Both record lists are keyed by orbit, so the comparison does not depend
     on which representative the publication printed, and ``id`` is ignored.
     """
     golden = _by_orbit(facets_2_6_golden()["facets"])
-    computed = _by_orbit(computed_facets_2_6(budget=budget)["facets"])
+    computed = _by_orbit(computed_facets_2_6()["facets"])
     # compared as copies with the ids blanked: the printed numbering may differ
     passed = golden.keys() == computed.keys() and all(
         {**golden[r], "id": 0} == {**computed[r], "id": 0} for r in golden

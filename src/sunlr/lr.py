@@ -44,32 +44,32 @@ from .partitions import (
     canonical,
     check_sequence,
     contains,
-    is_weakly_decreasing,
     pad,
     size,
 )
 
 
-def _full_view(seq, n, name):
-    """Length-n view of a weakly decreasing sequence, validating the tail."""
+def _checked(seq, n, name):
+    """Canonical form of a weakly decreasing sequence with a length-n view, unpadded."""
     parts = check_sequence(seq, name)
     if len(parts) > n:
         raise InvalidInputError(f"{name} {list(seq)} has more than {n} parts")
-    full = parts + (0,) * (n - len(parts))
-    if not is_weakly_decreasing(full):
-        raise InvalidInputError(
-            f"{name} {list(seq)} has a negative tail but fewer than n={n} parts"
-        )
-    return full
+    if parts and parts[-1] < 0 and len(parts) < n:
+        raise InvalidInputError(f"{name} {list(seq)} has a negative tail but fewer than n={n} parts")
+    return parts
 
 
 def _normalize_triple(lam, mu, nu, n):
     """Twist (lam, nu) and then (mu, nu) into partitions; None means zero."""
-    lam = _full_view(lam, n, "lambda")
-    mu = _full_view(mu, n, "mu")
-    nu = _full_view(nu, n, "nu")
+    lam = _checked(lam, n, "lambda")
+    mu = _checked(mu, n, "mu")
+    nu = _checked(nu, n, "nu")
     if size(lam) + size(mu) != size(nu):
         return None
+    # only a twist pads to n: it needs a negative part, and so n parts
+    if all(not x or x[-1] >= 0 for x in (lam, mu, nu)):
+        return lam, mu, nu
+    lam, mu, nu = (x + (0,) * (n - len(x)) for x in (lam, mu, nu))
     a = max(0, -lam[-1], -nu[-1])
     lam = tuple(x + a for x in lam)
     nu = tuple(x + a for x in nu)
@@ -84,12 +84,7 @@ def lr_coefficient(lam, mu, nu, n: int) -> int:
     if n < 1:
         raise InvalidInputError(f"rank n must be >= 1, got {n}")
     norm = _normalize_triple(lam, mu, nu, n)
-    if norm is None:
-        return 0
-    plam, pmu, pnu = norm
-    if max(len(plam), len(pmu), len(pnu)) > n:
-        return 0
-    return _lr_tableau_count(plam, pmu, pnu)
+    return 0 if norm is None else _lr_tableau_count(*norm)
 
 
 @cache

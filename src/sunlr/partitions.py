@@ -54,6 +54,20 @@ def check_partition(seq, name="partition") -> IntSeq:
     return parts
 
 
+def check_sequences(lambdas, n: int, partitions=False) -> tuple[IntSeq, ...]:
+    """Canonical l(1), ..., l(m), each of at most n parts, none negative with ``partitions``; unpadded."""
+    if n < 1:
+        raise InvalidInputError(f"rank n must be >= 1, got {n}")
+    check = check_partition if partitions else check_sequence
+    out = []
+    for idx, lam in enumerate(lambdas, start=1):
+        parts = check(lam, f"lambda({idx})")
+        if len(parts) > n:
+            raise InvalidInputError(f"lambda({idx}) = {list(lam)} has more than n={n} parts")
+        out.append(parts)
+    return tuple(out)
+
+
 def is_partition(seq) -> bool:
     parts = tuple(seq)
     return is_weakly_decreasing(parts) and (not parts or parts[-1] >= 0)

@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from .errors import InvalidInputError, UnsupportedShapeError
 from .generalized import f_sun
-from .partitions import check_sequence, conjugate, pad
+from .partitions import check_sequences, conjugate
 
 Vertex = tuple[int, int]
 VertexMap = dict[Vertex, int]
@@ -95,18 +95,15 @@ def weight_sigma1(lambdas, n: int) -> VertexMap:
     m = len(lambdas)
     if m < 4 or m % 2:
         raise UnsupportedShapeError(f"need an even number m >= 4 of sequences, got {m}")
-    full = []
-    for idx, lam in enumerate(lambdas, start=1):
-        parts = check_sequence(lam, f"lambda({idx})")
-        signed = parts and parts[-1] < 0
-        if signed and len(parts) != n:
+    lams = check_sequences(lambdas, n)
+    for idx, parts in enumerate(lams, start=1):
+        if parts and parts[-1] < 0 and len(parts) < n:
             raise InvalidInputError(
                 f"lambda({idx}) = {list(parts)} has negative tail but fewer than n={n} parts"
             )
-        full.append(parts if signed else pad(parts, n))
     sigma: VertexMap = {}
-    for i in range(1, m + 1):
-        lam = full[i - 1]
+    for i, lam in enumerate(lams, start=1):
+        lam = lam + (0,) * (n - len(lam))
         sgn = 1 if i % 2 == 0 else -1
         for j in range(1, n):
             sigma[(j, i)] = sgn * (lam[j - 1] - lam[j])

@@ -142,7 +142,7 @@ def test_criterion_6_factorization_on_walls():
                 break
             if f_sun(lams, 2) == 0:
                 continue
-            tight = find_tight_tuples(lams, 2, m)
+            tight = find_tight_tuples(lams, 2)
             if not tight:
                 continue
             report = factorization_check(lams, tight[0], 2)

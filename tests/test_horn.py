@@ -127,6 +127,22 @@ def test_candidates_validate_nothing(monkeypatch):
     assert len(chain_sums) == 1784
 
 
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 4), (1, 6), (3, 4), (2, 6), (4, 4), (5, 6)])
+def test_generate_T_budget_refuses_exactly_when_2_to_the_nm_exceeds_it(monkeypatch, n, m):
+    # nothing is classified: a budget that passes gets an empty candidate list
+    monkeypatch.setattr(horn, "_T_CACHE", {})
+    monkeypatch.setattr(horn, "_candidates", lambda n, m: ())
+    k = n * m
+    budgets = {-(2**k), -5, -1, 0, 1, 2, 3, 2 ** (k - 1), 2**k - 1, 2**k, 2**k + 1, 2 ** (k + 1), 10**30}
+    for budget in sorted(budgets):
+        horn._T_CACHE.clear()
+        if 2**k > budget:
+            with pytest.raises(BudgetExceededError, match=rf"2\^{k} subset tuples, budget is {budget}$"):
+                generate_T(n, m, "one", budget=budget)
+        else:
+            assert generate_T(n, m, "one", budget=budget) == []
+
+
 def test_generate_T_closed_under_symmetry():
     for n, m in ((1, 4), (2, 4)):
         tset = {st.subsets for st in generate_T(n, m, "one")}
@@ -238,7 +254,7 @@ def test_factorization_on_found_walls():
     for lams in iter_partition_tuples(2, 1, 6):
         if f_sun(lams, 2) == 0:
             continue
-        for st in find_tight_tuples(lams, 2, 6)[:2]:
+        for st in find_tight_tuples(lams, 2)[:2]:
             rep = factorization_check(lams, st, 2)
             assert rep["passed"], (lams, st.subsets, rep)
             checked += 1

@@ -8,6 +8,7 @@ from sunlr.errors import InvalidInputError
 from sunlr.partitions import (
     canonical,
     check_sequence,
+    check_sequences,
     conjugate,
     contains,
     lambda_of_set,
@@ -122,3 +123,25 @@ def test_check_sequence_returns_the_canonical_form():
     assert check_sequence((0, -1)) == (0, -1)
     with pytest.raises(InvalidInputError, match="weakly decreasing"):
         check_sequence((1, 2))
+
+
+def test_check_sequences_returns_canonical_and_never_pads():
+    assert check_sequences([(2, 1, 0), [1], ()], 3) == ((2, 1), (1,), ())
+    assert check_sequences([(1, -1)], 2) == ((1, -1),)
+    # no O(n) work: a huge rank costs nothing
+    assert check_sequences([(1,)], 10**12) == ((1,),)
+
+
+@pytest.mark.parametrize(
+    "lambdas, n, partitions, message",
+    [
+        ([(1,)], 0, False, "rank n must be >= 1, got 0"),
+        ([(1,), (1, 1, 1, 0)], 2, False, r"lambda\(2\) = \[1, 1, 1, 0\] has more than n=2 parts"),
+        ([(1, -1)], 2, True, r"lambda\(1\) \[1, -1\] has negative parts"),
+        ([(0, 1)], 2, False, r"lambda\(1\) \[0, 1\] is not weakly decreasing"),
+        ([(1.5,)], 2, False, "integers only"),
+    ],
+)
+def test_check_sequences_refusals(lambdas, n, partitions, message):
+    with pytest.raises(InvalidInputError, match=message):
+        check_sequences(lambdas, n, partitions=partitions)
