@@ -7,9 +7,10 @@ input so trailing-zero normalization is visible.  Output is deterministic:
 sorted keys, no timestamps.
 
 Exit codes: 0 success, 1 input or usage error, 2 oracle disagreement, 3
-budget exceeded.  Every subcommand takes ``--file`` and ``--plain``, takes
-the other flags only where ``SUBCOMMANDS`` lists them, and exits 1 on any
-other: ``--cross-check`` (``lr``, ``f``, ``positivity``, ``cone``) re-derives
+budget exceeded, which includes a request that runs out of memory.  Every
+subcommand takes ``--file`` and ``--plain``, takes the other flags only
+where ``SUBCOMMANDS`` lists them, and exits 1 on any other:
+``--cross-check`` (``lr``, ``f``, ``positivity``, ``cone``) re-derives
 values by every available method and fails loudly on disagreement,
 ``--variant`` (``cone``, ``horn-gen``) overrides the document's variant, and
 ``--budget`` (all but ``facets26`` and ``selftest``) caps the enumeration.
@@ -426,7 +427,9 @@ def main(argv=None) -> int:
         if args.variant:
             problem.variant = args.variant
         report = run(problem, cross_check=args.cross_check, budget=args.budget)
-    except SunlrError as exc:
+    except (SunlrError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            exc = BudgetExceededError("ran out of memory; set --budget to refuse inputs this large")
         payload = {"error": exc.code, "message": str(exc)}
         print(json.dumps(payload, sort_keys=True))
         return exc.exit_code

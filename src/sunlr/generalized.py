@@ -14,22 +14,24 @@ partitions alpha with every factor a single LR coefficient:
               plain LR coefficient c^{l(2)}_{l(1),l(3)}.
 
 All three run one walk, ``_walk``: a sparse weight vector {a: w} is pushed
-through a list of chain slots, each slot a target nu with its candidate
-partitions grouped by size, and multiplied by factor(a, b, nu).  Candidates
-are pruned by containment (a factor c^nu_{., .} dies unless both lower
-arguments fit inside nu componentwise) and by exact size bookkeeping.  The
-closed chain of ``f_sun`` starts the walk from each state of its first
-slot and closes on it; ``f1`` and ``f2`` supply only their end data.
-``cyclic_chain_sum`` is parameterized by the factor function so the
-hive-counting module can run the same decomposition with an independent
-per-factor engine.
+through a list of chain slots (nu, box).  Each slot is a sparse LR matrix
+with rows row(a, nu, box) = {b: c^nu_{a,b}} over the partitions b inside
+box, the skew expansion of s_{nu/a}; one skew-tableau enumeration gives a
+whole row, zeros left out.  The closed chain of ``f_sun`` is the trace of
+the product of its slot matrices: the walk starts from each state of the
+slot with the fewest states and closes on it.  ``f1`` and ``f2`` supply
+only their end data; the end factors of ``f1`` vary in their upper
+argument, so they are single coefficients.  ``cyclic_chain_sum`` is
+parameterized by the row function so the hive-counting module can run the
+same decomposition with an independent per-factor engine.
 
-Inputs are validated once, by ``_check_chain``.  The walk then calls the
-cached partition-only kernel ``lr._lr_tableau_count`` directly.  Every
-argument it sees is a canonical partition: a slot state lies inside the
-upper argument of each factor it enters, the ends of ``f2`` have at most n
-parts and those of ``f1`` at most 2n.  So a rank would never zero a factor,
-and ``lr_coefficient``'s checks, padding and twists would be repeated work.
+Inputs are validated once, by ``_check_chain``.  The walk then reads rows
+of the cached partition-only kernel ``lr._lr_tableau_count`` directly.
+Every argument it sees is a canonical partition: a slot state lies inside
+the upper argument of each factor it enters, the ends of ``f2`` have at
+most n parts and those of ``f1`` at most 2n.  So a rank would never zero a
+factor, and ``lr_coefficient``'s checks, padding and twists would be
+repeated work.
 
 Stretched evaluation recomputes each N from scratch; polynomiality in N is
 a property we test, never an assumption we exploit.
@@ -85,73 +87,67 @@ def _validated(lambdas, n, kind):
     return None if any(l and l[-1] < 0 for l in lams) else lams
 
 
-def _group_by_size(cands):
-    by = {}
-    for p in cands:
-        by.setdefault(size(p), []).append(p)
-    return by
-
-
-def _check_budget(slots, budget):
+def _check_budget(cands, budget):
     """Refuse a chain whose largest slot has more than ``budget`` candidate states."""
     if budget is not None:
-        states = max(len(c) for c in slots)
+        states = max(len(c) for c in cands)
         if states > budget:
             raise BudgetExceededError(f"chain enumeration needs {states} states, budget is {budget}")
 
 
-def _walk(cur, slots, factor):
+def _walk(cur, slots, row):
     """Push the sparse weight vector ``cur = {a: w}`` through chain slots.
 
-    Slot ``(nu, by_size)`` sends a to every b in by_size[|nu| - |a|] with
-    weight factor(a, b, nu).  Stops early once the vector is empty.
+    Slot ``(nu, box)`` sends a to every b inside box with weight
+    c^nu_{a,b}, read from the row row(a, nu, box) = {b: c^nu_{a,b}}.  Stops
+    early once the vector is empty.
     """
-    for nu, by_size in slots:
-        target = size(nu)
+    for nu, box in slots:
         nxt = {}
         for a, wt in cur.items():
-            for b in by_size.get(target - size(a), ()):
-                val = factor(a, b, nu)
-                if val:
-                    nxt[b] = nxt.get(b, 0) + wt * val
+            for b, val in row(a, nu, box).items():
+                nxt[b] = nxt.get(b, 0) + wt * val
         cur = nxt
         if not cur:
             break
     return cur
 
 
-def _slots(lams, cands):
-    """Chain slots (lams[i], cands[i] grouped by size), paired in order."""
-    return [(nu, _group_by_size(c)) for nu, c in zip(lams, cands)]
-
-
-def cyclic_slot_candidates(lams):
-    """Candidates of each slot of the cyclic chain through ``lams``.
+def cyclic_slot_boxes(lams):
+    """Box of each slot of the cyclic chain through ``lams``.
 
     Slot i holds the partitions inside min(lams[i-1], lams[i]).  Returns
     None when the odd and even size totals differ: then no chain closes.
     """
     if sum(size(l) for l in lams[0::2]) != sum(size(l) for l in lams[1::2]):
         return None
-    return [partitions_in_box(minimum(lams[i - 1], lams[i])) for i in range(len(lams))]
+    return [minimum(lams[i - 1], lams[i]) for i in range(len(lams))]
 
 
-def cyclic_chain_sum(lams, factor, budget=None) -> int:
-    """Sum over cyclic chains of products factor(a_i, a_{i+1}, lams[i]).
+def cyclic_chain_sum(lams, row, budget=None) -> int:
+    """Sum over cyclic chains of products c^{lams[i]}_{a_i, a_{i+1}}.
 
-    ``lams`` must be canonical partitions.  Slot i of the chain is bounded
-    componentwise by min(lams[i-1], lams[i]) and slot sizes are forced by
-    |a_{i+1}| = |lams[i]| - |a_i|.
+    ``lams`` must be canonical partitions, and row(a, nu, box) must return
+    {b: c^nu_{a,b}} over the partitions b inside box.  Slot i of the chain
+    is bounded componentwise by min(lams[i-1], lams[i]).  The sum is the
+    trace of the product of the slots' LR matrices, so the walk starts at
+    the slot with the fewest states and closes on it.
     """
-    cands = cyclic_slot_candidates(lams)
-    if cands is None:
+    boxes = cyclic_slot_boxes(lams)
+    if boxes is None:
         return 0
+    cands = [partitions_in_box(box) for box in boxes]
     _check_budget(cands, budget)
-    slots = _slots(lams, cands[1:])
+    m = len(lams)
+    s = min(range(m), key=lambda i: len(cands[i]))
+    # slot i takes a_i to a_{i+1}, inside the box of slot i + 1
+    slots = [(lams[i % m], boxes[(i + 1) % m]) for i in range(s, s + m - 1)]
+    nu = lams[s - 1]
     total = 0
-    for a0 in cands[0]:
-        close = (lams[-1], {size(a0): [a0]})
-        total += _walk({a0: 1}, [*slots, close], factor).get(a0, 0)
+    for a0 in cands[s]:
+        # the closing slot needs only the a0 entry of each row
+        last = _walk({a0: 1}, slots, row)
+        total += sum(wt * row(a, nu, boxes[s]).get(a0, 0) for a, wt in last.items())
     return total
 
 
@@ -178,19 +174,22 @@ def f1(lambdas, n: int, budget=None) -> int:
     if lams is None:
         return 0
     m = len(lams)
-    kernel = _lr_tableau_count
+    row = _lr_tableau_count
     box = (sum(l[0] for l in lams[:2] if l),) * (len(lams[0]) + len(lams[1]))
     if m > 4:
         box = minimum(box, lams[2])
     # a(k) is a lower argument of c^{l(k+2)} for k <= m-4 and of c^{l(k+1)} for k >= 2
-    cands = [partitions_of_size_in_box(size(lams[0]) + size(lams[1]), box)]
-    cands += [partitions_in_box(minimum(lams[i], lams[i + 1])) for i in range(2, m - 3)]
+    boxes = [minimum(lams[i], lams[i + 1]) for i in range(2, m - 3)]
     if m > 4:
-        cands.append(partitions_in_box(lams[m - 3]))
+        boxes.append(lams[m - 3])
+    cands = [partitions_of_size_in_box(size(lams[0]) + size(lams[1]), box)]
+    cands += [partitions_in_box(b) for b in boxes]
     _check_budget(cands, budget)
-    first = {a: v for a in cands[0] if (v := kernel(lams[0], lams[1], a))}
-    last = _walk(first, _slots(lams[2 : m - 2], cands[1:]), kernel)
-    return sum(wt * kernel(lams[m - 2], lams[m - 1], a) for a, wt in last.items())
+    # the end factors c^{a}_{l(1),l(2)} and c^{a}_{l(m-1),l(m)} vary in their
+    # upper argument, so each is one coefficient: the row of a/l with box l'
+    first = {a: v for a in cands[0] if (v := row(lams[0], a, lams[1]).get(lams[1]))}
+    last = _walk(first, list(zip(lams[2 : m - 2], boxes)), row)
+    return sum(wt * row(lams[m - 2], a, lams[m - 1]).get(lams[m - 1], 0) for a, wt in last.items())
 
 
 def f2(lambdas, n: int, budget=None) -> int:
@@ -203,11 +202,12 @@ def f2(lambdas, n: int, budget=None) -> int:
         return lr_coefficient(lams[0], lams[2], lams[1], n)
     # slot k feeds c^{lams[k]}_{a(k-1), a(k)} with a(0) = lams[0]; the closing
     # slot c^{lams[m-2]}_{a(m-3), lams[m-1]} has the single state lams[m-1]
-    cands = [partitions_of_size_in_box(size(lams[1]) - size(lams[0]), minimum(lams[1], lams[2]))]
-    cands += [partitions_in_box(minimum(lams[i], lams[i + 1])) for i in range(2, m - 2)]
+    boxes = [minimum(lams[i], lams[i + 1]) for i in range(1, m - 2)]
+    cands = [partitions_of_size_in_box(size(lams[1]) - size(lams[0]), boxes[0])]
+    cands += [partitions_in_box(b) for b in boxes[1:]]
     _check_budget(cands, budget)
     end = lams[m - 1]
-    slots = [*_slots(lams[1 : m - 2], cands), (lams[m - 2], {size(end): [end]})]
+    slots = [*zip(lams[1 : m - 2], boxes), (lams[m - 2], end)]
     return _walk({lams[0]: 1}, slots, _lr_tableau_count).get(end, 0)
 
 

@@ -56,7 +56,7 @@ from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeErro
 from .generalized import cyclic_chain_sum
 from .linprog import _echelon, _reduce, feasible
 from .lr import lr_hive_count
-from .partitions import check_sequences
+from .partitions import check_sequences, partitions_of_size_in_box, size
 
 
 def _check_boundary(lambdas, n, m):
@@ -76,7 +76,18 @@ def count_sun_hives(lambdas, n: int, *, budget=None) -> int:
     of the chain sum it must agree with.
     """
     lams = _check_boundary(lambdas, n, len(lambdas))
-    return cyclic_chain_sum(lams, lambda a, b, nu: lr_hive_count(a, b, nu, n), budget=budget)
+
+    rows = {}
+
+    def row(a, nu, box):
+        """{b: c^nu_{a,b}} over the b inside box, one hive count per b, built once per call."""
+        key = a, nu, box
+        if key not in rows:
+            bs = partitions_of_size_in_box(size(nu) - size(a), box)
+            rows[key] = {b: c for b in bs if (c := lr_hive_count(a, b, nu, n))}
+        return rows[key]
+
+    return cyclic_chain_sum(lams, row, budget=budget)
 
 
 class LinearSystem(namedtuple("LinearSystem", "variables ineqs eqs")):

@@ -2,11 +2,15 @@
 
 ``lr_coefficient`` counts LR skew tableaux: semistandard fillings of
 nu/lambda with content mu whose reverse reading word (rows top to bottom,
-each row right to left) is a lattice word.  Negative entries in weakly
-decreasing input are handled by determinant twists: the coefficient is
-invariant under lambda -> lambda + (a^n), nu -> nu + (a^n), and likewise
-under mu -> mu + (b^n), nu -> nu + (b^n), so inputs are shifted until all
-three are partitions.
+each row right to left) is a lattice word.  The kernel behind it,
+``_lr_tableau_count(lambda, nu, box)``, counts those tableaux by content
+and so returns a whole row {mu: c^nu_{lambda,mu}} of the skew expansion of
+s_{nu/lambda}, over the mu inside box; a single coefficient is the row
+with box = mu.  Negative entries in weakly decreasing input are handled
+by determinant twists: the coefficient is invariant under
+lambda -> lambda + (a^n), nu -> nu + (a^n), and likewise under
+mu -> mu + (b^n), nu -> nu + (b^n), so inputs are shifted until all three
+are partitions.
 
 ``lr_hive_count`` counts integer edge-labeled triangular arrays instead.
 Labeling of one array of side n (row index i from the bottom, diagonal
@@ -30,8 +34,9 @@ The enumeration walks columns of e left to right with interval bounds taken
 from the rhombus inequalities; it shares no logic with the tableau counter,
 so the two serve as genuinely independent oracles for each other.
 
-Both counters are memoized.  functools.cache gives atomic get-or-insert on
-a single dict, so concurrent use is safe and schedule independent.
+The tableau rows and the hive counts are memoized.  functools.cache gives
+atomic get-or-insert on a single dict, so concurrent use is safe and
+schedule independent.
 """
 
 from __future__ import annotations
@@ -84,34 +89,43 @@ def lr_coefficient(lam, mu, nu, n: int) -> int:
     if n < 1:
         raise InvalidInputError(f"rank n must be >= 1, got {n}")
     norm = _normalize_triple(lam, mu, nu, n)
-    return 0 if norm is None else _lr_tableau_count(*norm)
+    if norm is None:
+        return 0
+    lam, mu, nu = norm
+    return _lr_tableau_count(lam, nu, mu).get(mu, 0)
 
 
 @cache
-def _lr_tableau_count(lam: IntSeq, mu: IntSeq, nu: IntSeq) -> int:
-    """Number of LR skew tableaux of shape nu/lam and content mu.
+def _lr_tableau_count(lam: IntSeq, nu: IntSeq, box: IntSeq) -> dict[IntSeq, int]:
+    """{mu: c^nu_{lam,mu}} over the partitions mu inside ``box``.
 
-    Cells are filled in reverse-reading-word order (rows top to bottom, each
-    row right to left), so the lattice condition is a running-count check.
-    The backtracking keeps its own cursor over the cells, so its depth does
-    not grow with the number of cells.
+    One row of the skew expansion s_{nu/lam} = sum_mu c^nu_{lam,mu} s_mu:
+    the LR skew tableaux of shape nu/lam, counted by content, with at most
+    box[v-1] entries v.  With box = mu of size |nu| - |lam| the content
+    must be mu, so the row holds the single coefficient.  The row is cached
+    and shared by every caller, who must not modify it.  Cells are filled
+    in reverse-reading-word order (rows top to bottom, each row right to
+    left), so the lattice condition is a running-count check.  The
+    backtracking keeps its own cursor over the cells, so its depth does not
+    grow with the number of cells.
     """
-    if size(lam) + size(mu) != size(nu):
-        return 0
-    if not contains(lam, nu) or not contains(mu, nu):
-        return 0
+    if not contains(lam, nu):
+        return {}
     lam_full = lam + (0,) * (len(nu) - len(lam))
     cells = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, lam_full[r] - 1, -1)]
+    # a content lies inside both nu and box
+    if sum(min(x, y) for x, y in zip(box, nu)) < len(cells):
+        return {}
     if not cells:
-        return 1  # lam == nu forced by size and containment
+        return {(): 1}
     index = {cell: k for k, cell in enumerate(cells)}
     # the earlier cells bounding each cell: right (value <=) and above (value <)
     right = [index.get((r, c + 1)) for r, c in cells]
     above = [index.get((r - 1, c)) for r, c in cells]
-    nvals = len(mu)
+    nvals = len(box)
     counts = [0] * (nvals + 1)
     vals = [0] * len(cells)  # 0 while a cell holds no value
-    total = 0
+    row = {}
     k = 0
     while k >= 0:
         v = vals[k]
@@ -121,7 +135,7 @@ def _lr_tableau_count(lam: IntSeq, mu: IntSeq, nu: IntSeq) -> int:
             v = 0 if above[k] is None else vals[above[k]]
         v += 1
         hi = nvals if right[k] is None else vals[right[k]]
-        while v <= hi and (counts[v] >= mu[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
+        while v <= hi and (counts[v] >= box[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
             v += 1
         if v > hi:
             vals[k] = 0
@@ -130,10 +144,12 @@ def _lr_tableau_count(lam: IntSeq, mu: IntSeq, nu: IntSeq) -> int:
         vals[k] = v
         counts[v] += 1
         if k + 1 == len(cells):
-            total += 1
+            # the lattice condition keeps counts weakly decreasing
+            mu = tuple(x for x in counts[1:] if x)
+            row[mu] = row.get(mu, 0) + 1
         else:
             k += 1
-    return total
+    return row
 
 
 def iter_lr_hives(lam, mu, nu, n: int):

@@ -96,6 +96,20 @@ def test_main_exit_codes(capsys, monkeypatch):
     assert json.loads(out)["error"] == "budget-exceeded"
 
 
+def test_main_maps_memory_error_to_budget_exceeded(capsys, monkeypatch):
+    def exhausted(p, cross_check, budget):
+        raise MemoryError
+
+    kind, _, flags = SUBCOMMANDS["positivity"]
+    monkeypatch.setitem(SUBCOMMANDS, "positivity", (kind, exhausted, flags))
+    stdin = doc(kind="positivity", n=40, m=4, lambdas=[[1]] * 4)
+    code, out = run_cli(capsys, ["positivity"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "budget-exceeded"
+    assert "--budget" in payload["message"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["f", "--budget", "x"], ["nosuch"], ["f", "--json"], []],

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sunlr import generalized
+from sunlr import generalized, lr
 from sunlr.errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
 from sunlr.generalized import (
     ChainProblem,
@@ -75,6 +75,15 @@ def test_open_chain_budget_stops_before_any_coefficient(monkeypatch):
     with pytest.raises(BudgetExceededError):
         f2([(1,), (3, 2), (3, 2), (1,)], 2, budget=1)
     assert calls == []
+
+
+def test_f_sun_reads_one_row_per_state():
+    # 273 partitions fit in (8,6,4,2), and every slot of the chain shares
+    # that box, so a cold run builds one LR row per state
+    generalized._F_SUN_MEMO.clear()
+    lr._lr_tableau_count.cache_clear()
+    assert f_sun(((8, 6, 4, 2),) * 4, 4) == 13222872
+    assert lr._lr_tableau_count.cache_info().currsize == len(partitions_in_box((8, 6, 4, 2))) == 273
 
 
 def test_f_sun_cyclic_symmetry():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sunlr import hive
 from sunlr.errors import InvalidInputError
-from sunlr.generalized import cyclic_slot_candidates, f_sun
+from sunlr.generalized import cyclic_slot_boxes, f_sun
 from sunlr.hive import (
     build_linear_system,
     count_sun_hives,
@@ -22,7 +22,7 @@ from sunlr.hive import (
 )
 from sunlr.linprog import eliminate_equalities, fourier_motzkin_feasible, simplex_feasible
 from sunlr.lr import iter_lr_hives
-from sunlr.partitions import canonical, iter_partition_tuples, size, stretch
+from sunlr.partitions import canonical, iter_partition_tuples, partitions_in_box, size, stretch
 
 
 def iter_sun_hives(lambdas, n):
@@ -34,9 +34,10 @@ def iter_sun_hives(lambdas, n):
     """
     m = len(lambdas)
     lams = [canonical(l) for l in lambdas]
-    cands = cyclic_slot_candidates(lams)
-    if cands is None:
+    boxes = cyclic_slot_boxes(lams)
+    if boxes is None:
         return
+    cands = [partitions_in_box(box) for box in boxes]
     chains = [(a,) for a in cands[0]]
     for i in range(1, m):
         chains = [c + (a,) for c in chains for a in cands[i] if size(c[-1]) + size(a) == size(lams[i - 1])]
@@ -68,6 +69,15 @@ def test_count_spec_values():
     assert count_sun_hives([()] * 4, 2) == 1
     assert count_sun_hives([(1,)] * 4, 1) == 2
     assert count_sun_hives([(1, 0)] * 6, 2) == 2
+
+
+def test_count_matches_f_sun_when_the_walk_starts_past_slot_0():
+    # slot 2 has the fewest states (4 against 7 in slot 0), so the walk
+    # starts there; the trace does not depend on where it starts
+    lams = [(3, 2), (3, 1), (3,), (3, 2), (3, 2), (3, 1)]
+    states = [len(partitions_in_box(box)) for box in cyclic_slot_boxes(lams)]
+    assert states == [7, 7, 4, 4, 9, 7]
+    assert count_sun_hives(lams, 2) == f_sun(lams, 2) == 17
 
 
 def test_raw_n1_oracle():

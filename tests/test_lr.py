@@ -4,16 +4,66 @@ from hypothesis import strategies as st
 
 from sunlr.errors import InvalidInputError
 from sunlr.lr import (
+    _lr_tableau_count,
     iter_lr_hives,
     lr_coefficient,
     lr_hive_count,
     rectangular_lr,
 )
-from sunlr.partitions import partitions_in_box, size, stretch
+from sunlr.partitions import contains, partitions_in_box, partitions_of_size_in_box, size, stretch
 
 small_partition = st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+partition_4 = st.lists(st.integers(min_value=0, max_value=4), max_size=4).map(
+    lambda xs: tuple(sorted((x for x in xs if x), reverse=True))
+)
+
+
+def reference_count(lam, mu, nu):
+    """c^nu_{lam,mu} for canonical partitions: LR skew tableaux of shape nu/lam and content mu.
+
+    The per-content counter, kept as the reference for the row kernel: it
+    fills the cells in reverse-reading-word order with an explicit cursor
+    and prunes on the content mu itself.
+    """
+    if size(lam) + size(mu) != size(nu):
+        return 0
+    if not contains(lam, nu) or not contains(mu, nu):
+        return 0
+    lam_full = lam + (0,) * (len(nu) - len(lam))
+    cells = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, lam_full[r] - 1, -1)]
+    if not cells:
+        return 1
+    index = {cell: k for k, cell in enumerate(cells)}
+    right = [index.get((r, c + 1)) for r, c in cells]
+    above = [index.get((r - 1, c)) for r, c in cells]
+    nvals = len(mu)
+    counts = [0] * (nvals + 1)
+    vals = [0] * len(cells)
+    total = 0
+    k = 0
+    while k >= 0:
+        v = vals[k]
+        if v:
+            counts[v] -= 1
+        else:
+            v = 0 if above[k] is None else vals[above[k]]
+        v += 1
+        hi = nvals if right[k] is None else vals[right[k]]
+        while v <= hi and (counts[v] >= mu[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
+            v += 1
+        if v > hi:
+            vals[k] = 0
+            k -= 1
+            continue
+        vals[k] = v
+        counts[v] += 1
+        if k + 1 == len(cells):
+            total += 1
+        else:
+            k += 1
+    return total
 
 
 def test_spec_values():
@@ -90,6 +140,19 @@ def test_classical_saturation_status(lam, mu, nu):
         for r in (1, 2, 3)
     }
     assert len(statuses) == 1
+
+
+@given(partition_4, partition_4, partition_4, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_row_kernel_matches_per_content_reference(nu, lam, box, inside):
+    if inside:  # half the examples put lam inside nu, where rows are nonempty
+        lam = tuple(x for x in (min(a, b) for a, b in zip(lam, nu)) if x)
+    row = _lr_tableau_count(lam, nu, box)
+    mus = partitions_of_size_in_box(size(nu) - size(lam), box)
+    want = {mu: c for mu in mus if (c := reference_count(lam, mu, nu))}
+    assert row == want, (lam, nu, box)
+    for mu in mus[:4]:
+        assert row.get(mu, 0) == lr_hive_count(lam, mu, nu, 4), (lam, mu, nu)
 
 
 def test_hive_labelings_are_consistent():
