@@ -6,10 +6,13 @@ sum, the glued-hive count, the quiver weight-space dimension, and LP
 positivity twice: from the per-shape reduced system (``positivity``) and
 from the full system built for the one boundary (``lp_feasible``).  When
 generate_T's 2^(nm) candidates fit its default budget, Horn cone
-membership must equal f != 0 as well, decided three ways: ``in_cone`` with
-either variant's full list, and the ``minimal_facets`` rows plus the
-balance equality alone (a facet wrongly dropped as redundant would admit a
-non-member).  Any disagreement is a bug and aborts with the witness.
+membership must equal f != 0 as well, decided five ways: ``in_cone`` with
+either variant, which reads only the rows its two-term sieve keeps; every
+row of either variant's ``generate_T`` list plus the balance equality (a
+row wrongly sieved would let ``in_cone`` admit what its list refuses); and
+the ``minimal_facets`` rows plus the balance equality alone (a facet
+wrongly dropped as redundant would admit a non-member).  Any disagreement
+is a bug and aborts with the witness.
 
 Usage: python scripts/oracle_sweep.py [n] [m] [max_entry]
 """
@@ -22,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sunlr.generalized import f_sun  # noqa: E402
 from sunlr.hive import build_linear_system, count_sun_hives, lp_feasible, positivity  # noqa: E402
-from sunlr.horn import DEFAULT_T_BUDGET, VARIANTS, in_cone, minimal_facets  # noqa: E402
+from sunlr.horn import DEFAULT_T_BUDGET, VARIANTS, generate_T, in_cone, minimal_facets  # noqa: E402
 from sunlr.partitions import iter_partition_tuples, pad, size  # noqa: E402
 from sunlr.quiver import SunQuiver, dim_si_sun, weight_sigma1  # noqa: E402
 
@@ -34,6 +37,7 @@ def main():
     Q = SunQuiver(n, m // 2)
     variants = VARIANTS if 2 ** (n * m) <= DEFAULT_T_BUDGET else ()
     facets = minimal_facets(n, m) if variants else None
+    full_lists = [generate_T(n, m, v) for v in variants]
     started = time.time()
     checked = 0
     nonzero = 0
@@ -51,17 +55,17 @@ def main():
         horn = [in_cone(lams, n, m, v) for v in variants]
         if facets is not None:
             full = [pad(l, n) for l in lams]
-            horn.append(sum(map(size, lams[0::2])) == sum(map(size, lams[1::2]))
-                        and all(st.holds(full) for st in facets))
+            balanced = sum(map(size, lams[0::2])) == sum(map(size, lams[1::2]))
+            horn += [balanced and all(st.holds(full) for st in rows) for rows in (*full_lists, facets)]
         if not (value == hives == weight_space and lp == lp_full == (value > 0)
                 and all(h == (value > 0) for h in horn)):
             print(f"DISAGREEMENT at {lams}: chain={value} hives={hives} "
                   f"weight={weight_space} lp={lp} lp_full={lp_full} "
-                  f"in_cone={horn} (variants {list(variants)}, then facets)")
+                  f"in_cone={horn} (in_cone per variant, full lists per variant, then facets)")
             return 1
         checked += 1
         nonzero += value > 0
-    horn_note = (f"in_cone and {len(facets)} facets checked" if variants
+    horn_note = (f"in_cone, full lists and {len(facets)} facets checked" if variants
                  else "in_cone skipped: 2^(nm) over its budget")
     print(f"n={n} m={m} entries<={max_entry}: {checked} tuples agree "
           f"({nonzero} nonzero; {horn_note}) in {time.time()-started:.1f}s; LP CPU {lp_cpu[0]:.2f}s cached, "

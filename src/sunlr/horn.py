@@ -19,10 +19,14 @@ multiplicity is 1 (variant "one") or nonzero (variant "nonzero"); the
 one, and cone membership must agree between them.
 
 The cone K(n, m) of weakly decreasing rational tuples is cut out by the
-total-size balance equality and the inequalities above.  Its facet subset
-is recovered exactly here by redundancy elimination with exact LP (a row
-is kept iff it is not a nonnegative combination of the other rows plus the
-chamber rows and the balance equality); for n = 2, m = 6 the result is
+total-size balance equality and the inequalities above.  Most of those rows
+are the sum of two others, less the balance row for some; a sieve over
+the rows as bitmasks (``_two_term_sums``) finds such sums by integer
+operations, and ``in_cone`` reads only the rows it keeps.  The facet
+subset is recovered exactly here by redundancy elimination: a row is kept
+iff it is not a nonnegative combination of the other rows plus the
+chamber rows and the balance equality, shown by a two-term sum where the
+sieve has one and by exact LP otherwise; for n = 2, m = 6 the result is
 pinned bit-exactly against embedded golden data, up to the symmetry group
 of the polygon that preserves the odd/even alternation (rotations by an
 even number of flags and the parity-preserving reflections).
@@ -168,10 +172,11 @@ def underline_lambda(subsets, n: int) -> tuple[IntSeq, ...]:
 
 
 # (n, m, variant) -> the generate_T list; ("candidates", n, m) -> the
-# classification both variants filter; ("rows", n, m, variant) -> in_cone's
-# index rows.  ``_FACET_CACHE`` below holds the minimal_facets lists; a cold
-# start clears both.
-_T_CACHE: dict[tuple, tuple] = {}
+# classification both variants filter; ("sieve", n, m, variant) -> the
+# two-term sums; ("rows", n, m, variant) -> in_cone's index rows.
+# ``_FACET_CACHE`` below holds the minimal_facets lists; a cold start
+# clears both.
+_T_CACHE: dict[tuple, tuple | dict] = {}
 
 
 def _candidates(n: int, m: int) -> tuple:
@@ -180,10 +185,11 @@ def _candidates(n: int, m: int) -> tuple:
     A candidate is a subset tuple with some |I_i| < n whose attached
     sequences are all partitions.  Even flags attach a padded conjugate,
     always a partition; odd flag i attaches it minus c_i, a partition iff
-    its last entry is >= c_i.  The chain sums enter the memo of ``f_sun``
-    without its validation, as every sequence built here is a partition
-    with fewer than n parts.  Both variants keep only nonzero values, so
-    the zeros are not stored.
+    its last entry is >= c_i.  Both are trimmed to canonical form once, per
+    subset and per (subset, c_i), before the product is walked.  The chain
+    sums enter the memo of ``f_sun`` without its validation, as every
+    sequence built here is a partition with fewer than n parts.  Both
+    variants keep only nonzero values, so the zeros are not stored.
     """
     key = ("candidates", n, m)
     hit = _T_CACHE.get(key)
@@ -191,6 +197,14 @@ def _candidates(n: int, m: int) -> tuple:
         return hit
     subsets = [tuple(j + 1 for j in range(n) if mask >> j & 1) for mask in range(2**n)]
     padded = {s: _padded_conjugate(s, n) for s in subsets}
+    trimmed = {s: canonical(seq) for s, seq in padded.items()}
+    # (s, c) -> the canonical odd-flag sequence padded[s] - c, None if no partition;
+    # c = |s| - |prev| - |next| lies in [|s| - 2n, |s|]
+    shifted = {
+        (s, c): None if seq and seq[-1] < c else canonical(x - c for x in seq)
+        for s, seq in padded.items()
+        for c in range(len(s) - 2 * n, len(s) + 1)
+    }
     full = (subsets[-1],) * m
     classified = []
     for subs in product(subsets, repeat=m):
@@ -198,16 +212,15 @@ def _candidates(n: int, m: int) -> tuple:
             continue
         under = []
         for i, s in enumerate(subs):
-            seq = padded[s]
-            if i % 2 == 0 and seq:  # odd flag i + 1, fewer than n elements
-                c = len(s) - len(subs[i - 1]) - len(subs[(i + 1) % m])
-                if seq[-1] < c:
+            if i % 2:
+                seq = trimmed[s]
+            else:  # odd flag i + 1
+                seq = shifted[s, len(s) - len(subs[i - 1]) - len(subs[(i + 1) % m])]
+                if seq is None:
                     break
-                if c:
-                    seq = tuple(x - c for x in seq)
             under.append(seq)
         else:
-            val = _f_sun_partitions(tuple(map(canonical, under)))
+            val = _f_sun_partitions(tuple(under))
             if val:
                 classified.append((subs, val))
     classified.sort()
@@ -271,13 +284,59 @@ def _check_rational_tuple(lambdas, n: int, m: int):
     return out
 
 
+def _two_term_sums(tuples, n: int, m: int, variant: str) -> dict:
+    """{subsets: (J, K)} for the rows of ``tuples`` that two kept rows imply.
+
+    A subset tuple is a bitmask over the coordinates l(i)_j, bit
+    (i-1)*n + j-1, and its row is +-1 on those bits with the sign of the
+    flag, so the rows add as masks do.  Walking ``tuples`` in order, row I
+    is dropped when the rows still kept hold a J != I with either
+    I = J + K (split: J a nonzero proper submask of I, K = I ^ J kept) or
+    I = J + K - balance (cover: J a supermask of I, K = ~J | I kept and
+    K != I), the balance row being the full mask.  Each dropped row is
+    implied by rows kept when it was dropped, so, backwards along the walk,
+    the rows kept at the end and the balance equality imply every row of
+    ``tuples``.  Cached in ``_T_CACHE``.
+    """
+    key = ("sieve", n, m, variant)
+    hit = _T_CACHE.get(key)
+    if hit is not None:
+        return hit
+    full = (1 << n * m) - 1
+    by_mask = {
+        sum(1 << (i * n + j - 1) for i, s in enumerate(st.subsets) for j in s): st.subsets for st in tuples
+    }
+    kept = set(by_mask)
+    sums = {}
+    for I, subsets in by_mask.items():
+        for J in kept:
+            if J & I == J:
+                K = I ^ J
+                if J and K and K in kept:
+                    break
+            elif J & I == I:
+                K = (full ^ J) | I
+                if K != I and K in kept:
+                    break
+        else:
+            continue
+        kept.discard(I)
+        sums[subsets] = (by_mask[J], by_mask[K])
+    _T_CACHE[key] = sums
+    return sums
+
+
 def _index_rows(tuples, n: int, m: int, variant: str) -> tuple:
-    """(even-side, odd-side) flat indices l(i)_j -> (i-1)*n + j-1 per inequality."""
+    """(even-side, odd-side) flat indices l(i)_j -> (i-1)*n + j-1 per inequality
+    that ``_two_term_sums`` keeps; with the balance equality they imply the rest."""
     key = ("rows", n, m, variant)
     rows = _T_CACHE.get(key)
     if rows is None:
+        sieved = _two_term_sums(tuples, n, m, variant)
         rows = []
         for st in tuples:
+            if st.subsets in sieved:
+                continue
             vec = st.coefficient_vector()
             rows.append((
                 tuple(k for k, c in enumerate(vec) if c > 0),
@@ -291,8 +350,10 @@ def in_cone(lambdas, n: int, m: int, variant: str = "one", budget=None) -> bool:
     """Membership in the rational cone cut out by the Horn-type inequalities.
 
     The tuple is scaled once by the lcm of its denominators, so each
-    inequality is a comparison of two sums of Python integers.  It is
-    padded to n only after ``generate_T`` has checked its budget.
+    inequality is a comparison of two sums of Python integers.  Only the
+    rows ``_two_term_sums`` keeps are compared: with the balance equality,
+    checked first, they imply the rest.  The tuple is padded to n only
+    after ``generate_T`` has checked its budget.
     """
     if m < 4 or m % 2:
         raise UnsupportedShapeError(f"need an even number m >= 4 of flags, got m={m}")
@@ -427,12 +488,12 @@ _FACET_CACHE: dict[tuple, tuple] = {}
 
 
 def minimal_facets(n: int, m: int) -> list[SubsetTuple]:
-    """Irredundant subset of the candidate inequalities, by exact LP.
+    """Irredundant subset of the candidate inequalities, by two-term sums and exact LP.
 
     A candidate is kept iff its row is not a nonnegative combination of the
     other candidate rows, the chamber rows, and the balance equality; for a
     full-dimensional cone this is exactly the facet list.  Redundancy is a
-    symmetry-invariant, so only one representative per orbit is solved.
+    symmetry-invariant, so only one representative per orbit is decided.
 
     The columns of these LPs are built once, and an orbit found redundant
     leaves every later LP.  That changes no answer: the cone the rows span
@@ -443,11 +504,18 @@ def minimal_facets(n: int, m: int) -> list[SubsetTuple]:
     row).  So each extreme ray holds exactly one row, which is never found
     redundant, and every other row is a nonnegative combination of those
     extreme rows.
+
+    A representative that ``_two_term_sums`` drops from the "one" list
+    needs no LP: its row is the sum of two candidate rows, less the balance
+    row for a cover, and neither is parallel to it modulo the balance row
+    (each is a nonzero mask other than its own, its complement and the
+    full one), so it is not extreme and hence redundant.
     """
     key = (n, m)
     if key in _FACET_CACHE:
         return list(_FACET_CACHE[key])
     tuples = generate_T(n, m, "one")
+    sieved = _two_term_sums(tuples, n, m, "one")
     vectors = {st.subsets: st.coefficient_vector() for st in tuples}
     live = dict(zip(vectors, cone_columns(vectors.values(), [])))
     fixed = cone_columns(_chamber_rows(n, m), [_balance_row(n, m)])
@@ -458,8 +526,9 @@ def minimal_facets(n: int, m: int) -> list[SubsetTuple]:
     for members in by_orbit.values():
         rep = members[0].subsets
         target = vectors[rep]
-        others = [col for key2, col in live.items() if key2 != rep] + fixed
-        if any(target) and not cone_implied(target, others):
+        if rep not in sieved and any(target) and not cone_implied(
+            target, [col for key2, col in live.items() if key2 != rep] + fixed
+        ):
             kept.extend(members)
         else:
             for st in members:

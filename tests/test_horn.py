@@ -203,6 +203,63 @@ def test_in_cone_matches_fraction_inequalities(n, m, data):
     assert in_cone(lams, n, m, variant) == expected
 
 
+@pytest.mark.parametrize("n, m", [(1, 6), (1, 8), (2, 4), (1, 10), (2, 6), (3, 4)])
+def test_two_term_sums_are_certificates(monkeypatch, n, m):
+    # every dropped row is the sum of two rows of its list, less the balance
+    # row for a cover, checked by integer addition; both were still kept when
+    # it was dropped (kept to the end, or dropped later in the walk), so the
+    # rows kept at the end and the balance equality imply it
+    monkeypatch.setattr(horn, "_T_CACHE", {})
+    balance = horn._balance_row(n, m)
+    facets = {st.subsets for st in minimal_facets(n, m)}
+    for variant in VARIANTS:
+        tuples = generate_T(n, m, variant)
+        position = {st.subsets: k for k, st in enumerate(tuples)}
+        vec = {subs: SubsetTuple(subs, n).coefficient_vector() for subs in position}
+        sums = horn._two_term_sums(tuples, n, m, variant)
+        assert sums and not facets & sums.keys(), variant
+        for subs, (J, K) in sums.items():
+            assert J in position and K in position and subs not in (J, K)
+            for later in (J, K):
+                assert later not in sums or position[later] > position[subs]
+            pair = [a + b for a, b in zip(vec[J], vec[K])]
+            assert vec[subs] in (tuple(pair), tuple(x - b for x, b in zip(pair, balance))), (subs, J, K)
+
+
+def test_in_cone_matches_the_full_list_exhaustive():
+    # in_cone reads only the rows the sieve keeps; members make it read them all
+    n, m = 2, 4
+    for lams in iter_partition_tuples(n, 2, m):
+        full = [pad(l, n) for l in lams]
+        tuples = [full]
+        if f_sun(lams, n):
+            tuples += [[[Fraction(5, 3) * x for x in lam] for lam in full], [[x - 1 for x in lam] for lam in full]]
+        for lam_full in tuples:
+            balanced = sum(map(sum, lam_full[0::2])) == sum(map(sum, lam_full[1::2]))
+            for variant in VARIANTS:
+                expected = balanced and all(st.holds(lam_full) for st in generate_T(n, m, variant))
+                assert in_cone(lam_full, n, m, variant) == expected, (lam_full, variant)
+
+
+def test_sieve_pins_at_2_6(monkeypatch):
+    # the "one" list has 244 rows, in_cone reads 77 of them, and minimal_facets
+    # solves 19 of its 56 orbits by LP, the others being sieved or zero
+    monkeypatch.setattr(horn, "_T_CACHE", {})
+    monkeypatch.setattr(horn, "_FACET_CACHE", {})
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return cone_implied(*args)
+
+    monkeypatch.setattr(horn, "cone_implied", counting)
+    tuples = generate_T(2, 6)
+    assert len(tuples) == 244
+    assert len(horn._index_rows(tuples, 2, 6, "one")) == 77
+    assert len(minimal_facets(2, 6)) == 69
+    assert len(calls) == 19
+
+
 def test_in_cone_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         in_cone([(0, 1)] * 6, 2, 6)
