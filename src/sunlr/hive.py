@@ -40,9 +40,10 @@ chain sum is stretch invariant.
 
 Because only the rhs depends on the boundary, ``positivity`` eliminates the
 equalities once per shape with the rhs forms carried along
-(``reduced_system``, cached for a few shapes) and per call only evaluates
-the reduced rows and the leftover boundary equalities, then hands them to
-``linprog.feasible``.
+(``reduced_system``, cached for a few shapes).  Per call it evaluates the
+leftover boundary equalities, which have no variables; when one of them
+is nonzero, ``linprog.feasible`` refuses them alone.  Only a balanced
+boundary has its reduced rows evaluated and handed to ``linprog.feasible``.
 """
 
 from __future__ import annotations
@@ -241,6 +242,11 @@ def reduced_system(n: int, m: int) -> ReducedSystem:
     by the same fraction-free steps that ``linprog.eliminate_equalities``
     applies to numbers; every reduced row is a positive multiple of a
     combination of input rows, valid at every boundary.  Cached per shape.
+
+    Every live column is a variable of ``_hive_rows`` that no pivot
+    removed, so its sign row -x_j <= 0, which touches no pivot column,
+    comes through unchanged, with a zero rhs form: the reduced rows imply
+    x >= 0.
     """
     names, ineqs, eqs = _hive_rows(n, m)
     k = len(names)
@@ -264,9 +270,12 @@ def reduced_system(n: int, m: int) -> ReducedSystem:
 def positivity(lambdas, n: int, m=None, budget=None) -> bool:
     """Whether the chain multiplicity is positive, decided by LP feasibility.
 
-    The system is ``reduced_system(n, m)`` evaluated at the boundary; the
-    leftover boundary equalities enter as equations with no variables, so
-    an unbalanced boundary is refused by the equality elimination.
+    The leftover boundary equalities of ``reduced_system(n, m)`` are
+    evaluated first.  They have no variables, so an unbalanced boundary
+    makes one of them read 0 = d with d != 0, and the equality elimination
+    refuses them alone, before any inequality is evaluated.  Otherwise the
+    reduced inequalities, evaluated at the boundary, are decided by
+    ``linprog.feasible``.
     ``budget`` caps ``system_rows(n, m)``, the rows of the unreduced system,
     and is checked before any padding to n or any system is built.
     """
@@ -278,8 +287,8 @@ def positivity(lambdas, n: int, m=None, budget=None) -> bool:
             raise BudgetExceededError(f"linear program needs {rows} rows, budget is {budget}")
     beta = _boundary_vector(lams, n)
     reduced = reduced_system(n, m)
-    nvars = len(reduced.live)
+    balance = [_evaluate(form, beta) for form in reduced.eqs]
+    if any(balance):
+        return feasible([], [((), d) for d in balance], 0)
     ineqs = [(a, _evaluate(form, beta)) for a, form in reduced.ineqs]
-    eqs = [((0,) * nvars, _evaluate(form, beta)) for form in reduced.eqs]
-    return feasible(ineqs, eqs, nvars)
-
+    return feasible(ineqs, [], len(reduced.live))

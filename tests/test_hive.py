@@ -225,8 +225,10 @@ queries = st.one_of(
 )
 
 
-# n = 4, where the simplex does most of the work: (1)^4 and (2,1)^4 are
-# positive, then one unbalanced tuple and one balanced tuple with f = 0
+# n = 4 to 6, where the simplex does most of the work: (1)^4 and (2,1)^4
+# are positive, then one unbalanced tuple and balanced tuples with f = 0
+@example(([(1,)] * 4, 6, 4))
+@example(([(3,), (1, 1, 1), (), ()], 5, 4))
 @example(([(1,)] * 4, 4, 4))
 @example(([(2, 1)] * 4, 4, 4))
 @example(([(2, 1), (1,), (), ()], 4, 4))
@@ -254,6 +256,16 @@ def test_positivity_does_not_depend_on_the_cache(batch, rng):
     assert cold == warm == [interleaved[k] for k in range(len(batch))]
 
 
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 4), (3, 4), (4, 4), (1, 6), (2, 6), (3, 6), (1, 8), (1, 10)])
+def test_reduced_rows_hold_the_sign_row_of_every_live_column(n, m):
+    # the reduced rows imply x >= 0, so a simplex over x >= 0 would need no free split
+    reduced = reduced_system(n, m)
+    k = len(reduced.live)
+    rows = set(reduced.ineqs)
+    for j in range(k):
+        assert (tuple(-(i == j) for i in range(k)), (0,) * (m * n)) in rows, (n, m, j)
+
+
 def test_positivity_runs_one_elimination_and_at_most_one_simplex(monkeypatch):
     from sunlr import linprog
 
@@ -261,13 +273,26 @@ def test_positivity_runs_one_elimination_and_at_most_one_simplex(monkeypatch):
     for name in ("eliminate_equalities", "simplex_feasible"):
         fn = getattr(linprog, name)
         monkeypatch.setattr(linprog, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    evaluate = hive._evaluate
+    monkeypatch.setattr(hive, "_evaluate", lambda *args: calls.append("_evaluate") or evaluate(*args))
     reduced_system.cache_clear()
     # balanced and unbalanced, cold and warm
-    for lams, n in [([(1,)] * 4, 3), ([(2, 1), (1,), (), ()], 3), ([(1,)] * 4, 3), ([(1, 0)] * 6, 2)]:
+    for lams, n, balanced in [
+        ([(1,)] * 4, 3, True),
+        ([(2, 1), (1,), (), ()], 3, False),
+        ([(1,)] * 4, 3, True),
+        ([(1, 0)] * 6, 2, True),
+    ]:
         calls.clear()
         positivity(lams, n)
-        assert calls.count("eliminate_equalities") == 1, lams
-        assert calls.count("simplex_feasible") <= 1, lams
+        if balanced:
+            assert calls.count("eliminate_equalities") == 1, lams
+            assert calls.count("simplex_feasible") <= 1, lams
+        else:
+            # the leftover balance equations alone refuse it, before any
+            # inequality form is evaluated
+            nbalance = len(reduced_system(n, len(lams)).eqs)
+            assert calls == ["_evaluate"] * nbalance + ["eliminate_equalities"], lams
 
 
 def test_reduced_system_cache_is_bounded():
