@@ -10,28 +10,28 @@ partitions alpha with every factor a single LR coefficient:
 * ``f1``      sum of c^{a(1)}_{l(1),l(2)} c^{l(3)}_{a(1),a(2)} ...
               c^{a(m-3)}_{l(m-1),l(m)} for m >= 4.
 * ``f2``      sum of c^{l(2)}_{l(1),a(1)} c^{l(3)}_{a(1),a(2)} ...
-              c^{l(m-1)}_{a(m-3),l(m)} for m >= 3; the m = 3 case is the
-              plain LR coefficient c^{l(2)}_{l(1),l(3)}.
+              c^{l(m-1)}_{a(m-3),l(m)} for m >= 3, which is f_sun of
+              (l(1), ..., l(m), ∅), with a second ∅ for m even: c^∅_{a,b}
+              forces a = b = ∅ and so pins the ends at l(1) and l(m).
 
 All three run one walk, ``_walk``: a sparse weight vector {a: w} is pushed
 through a list of chain slots (nu, box).  Each slot is a sparse LR matrix
 with rows row(a, nu, box) = {b: c^nu_{a,b}} over the partitions b inside
 box, the skew expansion of s_{nu/a}; one skew-tableau enumeration gives a
-whole row, zeros left out.  The closed chain of ``f_sun`` is the trace of
-the product of its slot matrices: the walk starts from each state of the
-slot with the fewest states and closes on it.  ``f1`` and ``f2`` supply
-only their end data; the end factors of ``f1`` vary in their upper
-argument, so they are single coefficients.  ``cyclic_chain_sum`` is
-parameterized by the row function so the hive-counting module can run the
-same decomposition with an independent per-factor engine.
+whole row, zeros left out.  The closed chain is the trace of the product
+of its slot matrices: the walk starts from each state of the slot with
+the fewest states, the only slot it lists, and closes on it.  ``f1``
+walks its middle slots; its end factors vary in their upper argument, so
+they are single coefficients.  ``cyclic_chain_sum`` is parameterized by
+the row function so the hive-counting module can run the same
+decomposition with an independent per-factor engine.
 
 Inputs are validated once, by ``_check_chain``.  The walk then reads rows
 of the cached partition-only kernel ``lr._lr_tableau_count`` directly.
 Every argument it sees is a canonical partition: a slot state lies inside
-the upper argument of each factor it enters, the ends of ``f2`` have at
-most n parts and those of ``f1`` at most 2n.  So a rank would never zero a
-factor, and ``lr_coefficient``'s checks, padding and twists would be
-repeated work.
+the upper argument of each factor it enters, and the ends of ``f1`` have
+at most 2n parts.  So a rank would never zero a factor, and
+``lr_coefficient``'s checks, padding and twists would be repeated work.
 
 Stretched evaluation recomputes each N from scratch; polynomiality in N is
 a property we test, never an assumption we exploit.
@@ -43,10 +43,12 @@ from collections import namedtuple
 from math import comb
 
 from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
+# lr_coefficient is not called here; benchmark/tracing.py and the budget test rebind it
 from .lr import _lr_tableau_count, lr_coefficient
 from .partitions import (
     IntSeq,
     check_sequences,
+    count_partitions_in_box,
     minimum,
     partitions_in_box,
     partitions_of_size_in_box,
@@ -87,12 +89,10 @@ def _validated(lambdas, n, kind):
     return None if any(l and l[-1] < 0 for l in lams) else lams
 
 
-def _check_budget(cands, budget):
-    """Refuse a chain whose largest slot has more than ``budget`` candidate states."""
-    if budget is not None:
-        states = max(len(c) for c in cands)
-        if states > budget:
-            raise BudgetExceededError(f"chain enumeration needs {states} states, budget is {budget}")
+def _check_budget(counts, budget):
+    """Refuse a chain whose largest slot count in ``counts`` exceeds ``budget``."""
+    if budget is not None and max(counts) > budget:
+        raise BudgetExceededError(f"chain enumeration needs {max(counts)} states, budget is {budget}")
 
 
 def _walk(cur, slots, row):
@@ -131,20 +131,20 @@ def cyclic_chain_sum(lams, row, budget=None) -> int:
     {b: c^nu_{a,b}} over the partitions b inside box.  Slot i of the chain
     is bounded componentwise by min(lams[i-1], lams[i]).  The sum is the
     trace of the product of the slots' LR matrices, so the walk starts at
-    the slot with the fewest states and closes on it.
+    the slot with the fewest states, the only one listed, and closes on it.
     """
     boxes = cyclic_slot_boxes(lams)
     if boxes is None:
         return 0
-    cands = [partitions_in_box(box) for box in boxes]
-    _check_budget(cands, budget)
+    counts = [count_partitions_in_box(box) for box in boxes]
+    _check_budget(counts, budget)
     m = len(lams)
-    s = min(range(m), key=lambda i: len(cands[i]))
+    s = counts.index(min(counts))
     # slot i takes a_i to a_{i+1}, inside the box of slot i + 1
     slots = [(lams[i % m], boxes[(i + 1) % m]) for i in range(s, s + m - 1)]
     nu = lams[s - 1]
     total = 0
-    for a0 in cands[s]:
+    for a0 in partitions_in_box(boxes[s]):
         # the closing slot needs only the a0 entry of each row
         last = _walk({a0: 1}, slots, row)
         total += sum(wt * row(a, nu, boxes[s]).get(a0, 0) for a, wt in last.items())
@@ -182,33 +182,22 @@ def f1(lambdas, n: int, budget=None) -> int:
     boxes = [minimum(lams[i], lams[i + 1]) for i in range(2, m - 3)]
     if m > 4:
         boxes.append(lams[m - 3])
-    cands = [partitions_of_size_in_box(size(lams[0]) + size(lams[1]), box)]
-    cands += [partitions_in_box(b) for b in boxes]
-    _check_budget(cands, budget)
+    starts = partitions_of_size_in_box(size(lams[0]) + size(lams[1]), box)
+    _check_budget([len(starts), *map(count_partitions_in_box, boxes)], budget)
     # the end factors c^{a}_{l(1),l(2)} and c^{a}_{l(m-1),l(m)} vary in their
     # upper argument, so each is one coefficient: the row of a/l with box l'
-    first = {a: v for a in cands[0] if (v := row(lams[0], a, lams[1]).get(lams[1]))}
+    first = {a: v for a in starts if (v := row(lams[0], a, lams[1]).get(lams[1]))}
     last = _walk(first, list(zip(lams[2 : m - 2], boxes)), row)
     return sum(wt * row(lams[m - 2], a, lams[m - 1]).get(lams[m - 1], 0) for a, wt in last.items())
 
 
 def f2(lambdas, n: int, budget=None) -> int:
-    """Open chain pinned at both ends; tensor multiplicity for extremal weight crystals."""
+    """Open chain pinned at both ends; tensor multiplicity for extremal weight crystals.
+
+    f_sun(l(1), ..., l(m), ∅), a second ∅ for m even: c^∅_{a,b} forces a = b = ∅.
+    """
     lams = _validated(lambdas, n, "f2")
-    if lams is None:
-        return 0
-    m = len(lams)
-    if m == 3:
-        return lr_coefficient(lams[0], lams[2], lams[1], n)
-    # slot k feeds c^{lams[k]}_{a(k-1), a(k)} with a(0) = lams[0]; the closing
-    # slot c^{lams[m-2]}_{a(m-3), lams[m-1]} has the single state lams[m-1]
-    boxes = [minimum(lams[i], lams[i + 1]) for i in range(1, m - 2)]
-    cands = [partitions_of_size_in_box(size(lams[1]) - size(lams[0]), boxes[0])]
-    cands += [partitions_in_box(b) for b in boxes[1:]]
-    _check_budget(cands, budget)
-    end = lams[m - 1]
-    slots = [*zip(lams[1 : m - 2], boxes), (lams[m - 2], end)]
-    return _walk({lams[0]: 1}, slots, _lr_tableau_count).get(end, 0)
+    return 0 if lams is None else _f_sun_partitions((*lams, *((),) * (2 - len(lams) % 2)), budget)
 
 
 class LevelOneSpec(namedtuple("LevelOneSpec", "jumps")):

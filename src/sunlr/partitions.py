@@ -15,7 +15,7 @@ All functions are pure and safe for concurrent use.
 
 from __future__ import annotations
 
-from itertools import product, zip_longest
+from itertools import accumulate, product, zip_longest
 from operator import ge
 
 from .errors import InvalidInputError
@@ -166,6 +166,15 @@ def partitions_in_box(bound) -> list[IntSeq]:
         return [()]
     rec(0, box[0], [])
     return out
+
+
+def count_partitions_in_box(bound) -> int:
+    """``len(partitions_in_box(bound))`` by prefix sums; tail[j]: fillings ending on the j-th top value."""
+    box = canonical(bound)
+    tail = [1] * (box[0] + 1) if box else [1]
+    for r in box[1:]:
+        tail = list(accumulate(tail))[-1 - r :]
+    return sum(tail)
 
 
 def partitions_of_size_in_box(total: int, bound) -> list[IntSeq]:

@@ -16,6 +16,7 @@ from sunlr.generalized import (
     level1_lambdas,
     stretched_table,
 )
+from sunlr.hive import count_sun_hives
 from sunlr.lr import lr_coefficient
 from sunlr.partitions import iter_partition_tuples, partitions_in_box, stretch
 
@@ -57,23 +58,33 @@ def test_f_sun_budget_guard():
 
 
 def test_open_chain_budget_stops_before_any_coefficient(monkeypatch):
-    calls = []
+    calls, listed = [], []
 
-    def counting(fn):
+    def recording(log, fn):
         def wrapped(*args):
-            calls.append(args)
+            log.append(args)
             return fn(*args)
 
         return wrapped
 
-    monkeypatch.setattr(generalized, "_lr_tableau_count", counting(generalized._lr_tableau_count))
-    monkeypatch.setattr(generalized, "lr_coefficient", counting(lr_coefficient))
+    monkeypatch.setattr(generalized, "_lr_tableau_count", recording(calls, generalized._lr_tableau_count))
+    monkeypatch.setattr(generalized, "lr_coefficient", recording(calls, lr_coefficient))
+    for name in ("partitions_in_box", "partitions_of_size_in_box"):
+        monkeypatch.setattr(generalized, name, recording(listed, getattr(generalized, name)))
+    # a memo hit would answer without a budget check
+    monkeypatch.setattr(generalized, "_F_SUN_MEMO", {})
     with pytest.raises(BudgetExceededError):
         f_sun([(4, 4, 4)] * 4, 3, budget=3)
-    with pytest.raises(BudgetExceededError):
-        f1([(6, 5, 4, 3), (6, 5, 4, 3), (5, 5, 4, 4), (6, 4, 3, 2)], 4, budget=1)
+    with pytest.raises(BudgetExceededError, match="needs 2704156 states"):
+        f_sun([(12,) * 12] * 4, 12, budget=10)
     with pytest.raises(BudgetExceededError):
         f2([(1,), (3, 2), (3, 2), (1,)], 2, budget=1)
+    with pytest.raises(BudgetExceededError):
+        count_sun_hives([(4, 4, 4)] * 4, 3, budget=3)
+    assert calls == listed == []
+    # f1 still lists its end slot, the partitions of |l(1)| + |l(2)|, before the check
+    with pytest.raises(BudgetExceededError):
+        f1([(6, 5, 4, 3), (6, 5, 4, 3), (5, 5, 4, 4), (6, 4, 3, 2)], 4, budget=1)
     assert calls == []
 
 
@@ -110,6 +121,16 @@ def test_f1_m5_hand_value():
     # sum over a1 of c^{a1}_{(1),(1)} c^{(2)}_{a1,a2} c^{a2}_{(0),(0)}:
     # a2 = (), so a1 = (2) and the only chain contributes 1
     assert f1([(1,), (1,), (2,), (), ()], 2) == 1
+
+
+def test_f1_at_m4_is_a_closed_chain():
+    # Hall inner product: f1 = <s_l1 s_l2, s_l3 s_l4> = f_sun(l1, l3, l2, l4)
+    nonzero = 0
+    for l1, l2, l3, l4 in iter_partition_tuples(2, 2, 4):
+        value = f1((l1, l2, l3, l4), 2)
+        assert value == f_sun((l1, l3, l2, l4), 2), (l1, l2, l3, l4)
+        nonzero += value > 0
+    assert nonzero == 180
 
 
 def test_f2_spec_values():

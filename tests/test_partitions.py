@@ -11,6 +11,7 @@ from sunlr.partitions import (
     check_sequences,
     conjugate,
     contains,
+    count_partitions_in_box,
     lambda_of_set,
     pad,
     partitions_in_box,
@@ -102,6 +103,9 @@ def test_partitions_in_box_counts():
     assert len(partitions_in_box((1,))) == 2
     # 2x2 box: (), (1), (2), (1,1), (2,1), (2,2)
     assert len(partitions_in_box((2, 2))) == 6
+    # every box of at most 4 rows and entries at most 4, the empty one included
+    for box in partitions_in_box((4, 4, 4, 4)):
+        assert count_partitions_in_box(box) == len(partitions_in_box(box)), box
 
 
 @given(st.integers(min_value=0, max_value=9))
