@@ -11,8 +11,10 @@ either variant, which reads only the rows its two-term sieve keeps; every
 row of either variant's ``generate_T`` list plus the balance equality (a
 row wrongly sieved would let ``in_cone`` admit what its list refuses); and
 the ``minimal_facets`` rows plus the balance equality alone (a facet
-wrongly dropped as redundant would admit a non-member).  Any disagreement
-is a bug and aborts with the witness.
+wrongly dropped as redundant would admit a non-member).  Every tuple
+with f = 1 or f = 2 must also stretch like a single LR coefficient:
+f(N * lambda) = 1, resp. N + 1, for N = 2 and 3 (Knutson-Tao-Woodward,
+Ikenmeyer).  Any disagreement is a bug and aborts with the witness.
 
 Usage: python scripts/oracle_sweep.py [n] [m] [max_entry]
 """
@@ -26,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from sunlr.generalized import f_sun  # noqa: E402
 from sunlr.hive import build_linear_system, count_sun_hives, lp_feasible, positivity  # noqa: E402
 from sunlr.horn import DEFAULT_T_BUDGET, VARIANTS, generate_T, in_cone, minimal_facets  # noqa: E402
-from sunlr.partitions import iter_partition_tuples, pad, size  # noqa: E402
+from sunlr.partitions import iter_partition_tuples, pad, size, stretch  # noqa: E402
 from sunlr.quiver import SunQuiver, dim_si_sun, weight_sigma1  # noqa: E402
 
 
@@ -41,6 +43,7 @@ def main():
     started = time.time()
     checked = 0
     nonzero = 0
+    small = {1: 0, 2: 0}  # tuples with f = 1 and f = 2, each checked stretched
     lp_cpu = [0.0, 0.0]  # CPU seconds in positivity and in the uncached reference
     for lams in iter_partition_tuples(n, max_entry, m):
         value = f_sun(lams, n)
@@ -63,13 +66,20 @@ def main():
                   f"weight={weight_space} lp={lp} lp_full={lp_full} "
                   f"in_cone={horn} (in_cone per variant, full lists per variant, then facets)")
             return 1
+        if value in (1, 2):
+            for N in (2, 3):
+                stretched = f_sun([stretch(l, N) for l in lams], n)
+                if stretched != (1 if value == 1 else N + 1):
+                    print(f"STRETCH FAILURE at {lams}: f={value} but f({N} * lambda)={stretched}")
+                    return 1
+            small[value] += 1
         checked += 1
         nonzero += value > 0
     horn_note = (f"in_cone, full lists and {len(facets)} facets checked" if variants
                  else "in_cone skipped: 2^(nm) over its budget")
     print(f"n={n} m={m} entries<={max_entry}: {checked} tuples agree "
-          f"({nonzero} nonzero; {horn_note}) in {time.time()-started:.1f}s; LP CPU {lp_cpu[0]:.2f}s cached, "
-          f"{lp_cpu[1]:.2f}s uncached")
+          f"({nonzero} nonzero; {horn_note}; f = 1, 2 stretched on {small[1]}/{small[2]}) "
+          f"in {time.time()-started:.1f}s; LP CPU {lp_cpu[0]:.2f}s cached, {lp_cpu[1]:.2f}s uncached")
     return 0
 
 

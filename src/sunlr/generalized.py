@@ -20,18 +20,21 @@ with rows row(a, nu, box) = {b: c^nu_{a,b}} over the partitions b inside
 box, the skew expansion of s_{nu/a}; one skew-tableau enumeration gives a
 whole row, zeros left out.  The closed chain is the trace of the product
 of its slot matrices: the walk starts from each state of the slot with
-the fewest states, the only slot it lists, and closes on it.  ``f1``
-walks its middle slots; its end factors vary in their upper argument, so
-they are single coefficients.  ``cyclic_chain_sum`` is parameterized by
-the row function so the hive-counting module can run the same
-decomposition with an independent per-factor engine.
+the fewest states, the only slot it lists, and closes on it.  ``f1`` at
+m = 4 is the Hall inner product <s_l(1) s_l(2), s_l(3) s_l(4)>, which is
+f_sun(l(1), l(3), l(2), l(4)).  At m >= 5 it starts from the one row
+s_{l(3)/l(1)} skewed by l(2), because sum over a(1) of
+c^{a(1)}_{l(1),l(2)} c^{l(3)}_{a(1),a(2)} = sum over b of c^{l(3)}_{l(1),b} c^b_{l(2),a(2)};
+it walks its middle slots and closes on single coefficients.  ``cyclic_chain_sum``
+is parameterized by the row function so the hive-counting module can
+run the same decomposition with an independent per-factor engine.
 
 Inputs are validated once, by ``_check_chain``.  The walk then reads rows
 of the cached partition-only kernel ``lr._lr_tableau_count`` directly.
 Every argument it sees is a canonical partition: a slot state lies inside
-the upper argument of each factor it enters, and the ends of ``f1`` have
-at most 2n parts.  So a rank would never zero a factor, and
-``lr_coefficient``'s checks, padding and twists would be repeated work.
+the upper argument of each factor it enters.  So a rank would never zero
+a factor, and ``lr_coefficient``'s checks, padding and twists would be
+repeated work.
 
 Stretched evaluation recomputes each N from scratch; polynomiality in N is
 a property we test, never an assumption we exploit.
@@ -46,15 +49,10 @@ from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeErro
 # lr_coefficient is not called here; benchmark/tracing.py and the budget test rebind it
 from .lr import _lr_tableau_count, lr_coefficient
 from .partitions import (
-    IntSeq,
-    check_sequences,
-    count_partitions_in_box,
-    minimum,
-    partitions_in_box,
-    partitions_of_size_in_box,
-    size,
-    stretch,
+    IntSeq, check_sequences, count_partitions_in_box, minimum, partitions_in_box, size, stretch,
 )
+# partitions_of_size_in_box is not called here; benchmark/tracing.py and the budget test rebind it
+from .partitions import partitions_of_size_in_box
 
 KINDS = ("f_sun", "f1", "f2")
 
@@ -161,33 +159,34 @@ def f_sun(lambdas, n: int, budget=None) -> int:
 
 
 def _f_sun_partitions(lams, budget=None) -> int:
-    """f_sun of a tuple of canonical partitions, memoized; nothing is validated."""
-    hit = _F_SUN_MEMO.get(lams)
+    """f_sun of canonical partitions, memoized, unvalidated; a budgeted call skips the memo."""
+    hit = _F_SUN_MEMO.get(lams) if budget is None else None
     if hit is None:
         hit = _F_SUN_MEMO[lams] = cyclic_chain_sum(lams, _lr_tableau_count, budget=budget)
     return hit
 
 
 def f1(lambdas, n: int, budget=None) -> int:
-    """Open chain with merged ends: branching for the direct sum embedding."""
+    """Open chain with merged ends: branching for the direct sum embedding.
+
+    At m = 4, f1 = <s_l1 s_l2, s_l3 s_l4> = f_sun(l1, l3, l2, l4).  At m >= 5 it
+    starts from the row s_{l3/l1} skewed by l2, because sum over a(1) of
+    c^{a(1)}_{l1,l2} c^{l3}_{a(1),a(2)} = sum over b of c^{l3}_{l1,b} c^b_{l2,a(2)}.
+    """
     lams = _validated(lambdas, n, "f1")
     if lams is None:
         return 0
     m = len(lams)
+    if m == 4:
+        return _f_sun_partitions((lams[0], lams[2], lams[1], lams[3]), budget)
     row = _lr_tableau_count
-    box = (sum(l[0] for l in lams[:2] if l),) * (len(lams[0]) + len(lams[1]))
-    if m > 4:
-        box = minimum(box, lams[2])
     # a(k) is a lower argument of c^{l(k+2)} for k <= m-4 and of c^{l(k+1)} for k >= 2
-    boxes = [minimum(lams[i], lams[i + 1]) for i in range(2, m - 3)]
-    if m > 4:
-        boxes.append(lams[m - 3])
-    starts = partitions_of_size_in_box(size(lams[0]) + size(lams[1]), box)
-    _check_budget([len(starts), *map(count_partitions_in_box, boxes)], budget)
-    # the end factors c^{a}_{l(1),l(2)} and c^{a}_{l(m-1),l(m)} vary in their
-    # upper argument, so each is one coefficient: the row of a/l with box l'
-    first = {a: v for a in starts if (v := row(lams[0], a, lams[1]).get(lams[1]))}
-    last = _walk(first, list(zip(lams[2 : m - 2], boxes)), row)
+    boxes = [minimum(lams[i], lams[i + 1]) for i in range(2, m - 3)] + [lams[m - 3]]
+    _check_budget([count_partitions_in_box(b) for b in (lams[2], *boxes)], budget)
+    cur = _walk({lams[0]: 1}, [(lams[2], lams[2])], row)
+    cur = _walk(cur, [(lams[1], boxes[0])], lambda b, l2, box: row(l2, b, box))
+    last = _walk(cur, list(zip(lams[3 : m - 2], boxes[1:])), row)
+    # the last factor varies in its upper argument a: one entry of the row of a/l(m-1) in box l(m)
     return sum(wt * row(lams[m - 2], a, lams[m - 1]).get(lams[m - 1], 0) for a, wt in last.items())
 
 

@@ -71,8 +71,7 @@ def test_open_chain_budget_stops_before_any_coefficient(monkeypatch):
     monkeypatch.setattr(generalized, "lr_coefficient", recording(calls, lr_coefficient))
     for name in ("partitions_in_box", "partitions_of_size_in_box"):
         monkeypatch.setattr(generalized, name, recording(listed, getattr(generalized, name)))
-    # a memo hit would answer without a budget check
-    monkeypatch.setattr(generalized, "_F_SUN_MEMO", {})
+    # a budgeted call never reads the memo, so no earlier call can answer these
     with pytest.raises(BudgetExceededError):
         f_sun([(4, 4, 4)] * 4, 3, budget=3)
     with pytest.raises(BudgetExceededError, match="needs 2704156 states"):
@@ -81,11 +80,27 @@ def test_open_chain_budget_stops_before_any_coefficient(monkeypatch):
         f2([(1,), (3, 2), (3, 2), (1,)], 2, budget=1)
     with pytest.raises(BudgetExceededError):
         count_sun_hives([(4, 4, 4)] * 4, 3, budget=3)
+    # f1 at m = 4 is the closed chain (l1, l3, l2, l4); at m = 5 it counts the box of l3
+    with pytest.raises(BudgetExceededError, match="needs 3432 states"):
+        f1([(7,) * 7] * 4, 7, budget=1)
+    with pytest.raises(BudgetExceededError, match="needs 3 states"):
+        f1([(1,), (1,), (2,), (), ()], 2, budget=2)
+    # unbalanced at m = 4 (|l1| + |l2| = 36, |l3| + |l4| = 33): 0 before any work
+    assert f1([(6, 5, 4, 3), (6, 5, 4, 3), (5, 5, 4, 4), (6, 4, 3, 2)], 4, budget=1) == 0
     assert calls == listed == []
-    # f1 still lists its end slot, the partitions of |l(1)| + |l(2)|, before the check
-    with pytest.raises(BudgetExceededError):
-        f1([(6, 5, 4, 3), (6, 5, 4, 3), (5, 5, 4, 4), (6, 4, 3, 2)], 4, budget=1)
-    assert calls == []
+    assert f1([(1,), (1,), (2,), (), ()], 2, budget=3) == 1
+
+
+def test_budgeted_chain_sum_refuses_after_an_unbudgeted_call():
+    # the unbudgeted call stores its value; the budgeted one checks its counts anyway
+    for fn, lams, n, value in [
+        (f_sun, [(2, 1)] * 4, 2, 10),
+        (f2, [(1,), (2, 1), (1, 1)], 3, 1),
+        (f1, [(1,)] * 4, 2, 2),
+    ]:
+        assert fn(lams, n) == value
+        with pytest.raises(BudgetExceededError):
+            fn(lams, n, budget=1)
 
 
 def test_f_sun_reads_one_row_per_state():
@@ -131,6 +146,24 @@ def test_f1_at_m4_is_a_closed_chain():
         assert value == f_sun((l1, l3, l2, l4), 2), (l1, l2, l3, l4)
         nonzero += value > 0
     assert nonzero == 180
+
+
+def test_f1_symmetries():
+    # m = 5: f1 is the multi-LR coefficient c^{l3}_{l1,l2,l4,l5}, symmetric in its lower flags
+    nonzero = 0
+    for l1, l2, l3, l4, l5 in iter_partition_tuples(2, 2, 5):
+        value = f1((l1, l2, l3, l4, l5), 2)
+        assert f1((l2, l1, l3, l4, l5), 2) == value
+        assert f1((l1, l4, l3, l2, l5), 2) == value
+        assert f1((l1, l2, l3, l5, l4), 2) == value
+        nonzero += value > 0
+    assert nonzero == 110
+    # m = 6: each merged end is symmetric, and the chain reads the same backwards
+    for l1, l2, l3, l4, l5, l6 in iter_partition_tuples(2, 1, 6):
+        value = f1((l1, l2, l3, l4, l5, l6), 2)
+        assert f1((l2, l1, l3, l4, l5, l6), 2) == value
+        assert f1((l1, l2, l3, l4, l6, l5), 2) == value
+        assert f1((l5, l6, l4, l3, l1, l2), 2) == value
 
 
 def test_f2_spec_values():
@@ -283,6 +316,21 @@ def test_stretched_zero_pattern():
     for lams in iter_partition_tuples(2, 1, 4):
         vals = stretched_table(ChainProblem("f_sun", 2, lams), 3)
         assert len({v > 0 for v in vals}) == 1, (lams, vals)
+
+
+@pytest.mark.parametrize(
+    "n, m, max_entry, ones, twos", [(2, 4, 2, 87, 49), (2, 6, 1, 94, 16), (4, 4, 1, 41, 25)]
+)
+def test_small_values_stretch_like_single_lr_coefficients(n, m, max_entry, ones, twos):
+    # c = 1 gives c(N) = 1 (Knutson-Tao-Woodward) and c = 2 gives c(N) = N + 1 (Ikenmeyer)
+    found = {1: 0, 2: 0}
+    for lams in iter_partition_tuples(n, max_entry, m):
+        value = f_sun(lams, n)
+        if value in found:
+            found[value] += 1
+            for N in (2, 3):
+                assert f_sun([stretch(l, N) for l in lams], n) == (1 if value == 1 else N + 1), (lams, N)
+    assert found == {1: ones, 2: twos}
 
 
 def test_chain_problem_validation():
