@@ -49,7 +49,7 @@ from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeErro
 # lr_coefficient is not called here; benchmark/tracing.py and the budget test rebind it
 from .lr import _lr_tableau_count, lr_coefficient
 from .partitions import (
-    IntSeq, check_sequences, count_partitions_in_box, minimum, partitions_in_box, size, stretch,
+    IntSeq, check_flag_count, check_sequences, count_partitions_in_box, minimum, partitions_in_box, size, stretch,
 )
 # partitions_of_size_in_box is not called here; benchmark/tracing.py and the budget test rebind it
 from .partitions import partitions_of_size_in_box
@@ -62,8 +62,8 @@ def _check_chain(kind, n, lambdas) -> tuple[IntSeq, ...]:
     if kind not in KINDS:
         raise InvalidInputError(f"unknown kind {kind!r}, expected one of {KINDS}")
     m = len(lambdas)
-    if kind == "f_sun" and (m < 4 or m % 2):
-        raise UnsupportedShapeError(f"f_sun needs an even number m >= 4 of sequences, got m={m}")
+    if kind == "f_sun":
+        check_flag_count(m)
     if kind == "f1" and m < 4:
         raise UnsupportedShapeError(f"f1 needs m >= 4 sequences, got m={m}")
     if kind == "f2" and m < 3:
@@ -229,8 +229,7 @@ def level1_f(spec: LevelOneSpec, N: int, n=None) -> int:
     """
     j = spec.jumps
     m = len(j)
-    if m < 4 or m % 2:
-        raise UnsupportedShapeError(f"level-1 closed form needs even m >= 4, got m={m}")
+    check_flag_count(m)
     if n is not None and any(x > n for x in j):
         raise InvalidInputError(f"jump numbers {list(j)} exceed flag length n={n}")
     if N < 1:

@@ -53,19 +53,21 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
+from .errors import BudgetExceededError, InvalidInputError
 from .generalized import cyclic_chain_sum
 from .linprog import _echelon, _reduce, feasible
 from .lr import lr_hive_count
-from .partitions import check_sequences, partitions_of_size_in_box, size
+from .partitions import check_flag_count, check_sequences, partitions_of_size_in_box, size
+
+# ``positivity``'s cap on system_rows(n, m) without a budget: n <= 15 at m = 4, n <= 12 at m = 6
+DEFAULT_LP_ROWS = 5000
 
 
 def _check_boundary(lambdas, n, m):
     """The m boundary partitions, canonical and unpadded."""
     if len(lambdas) != m:
         raise InvalidInputError(f"expected {m} boundary sequences, got {len(lambdas)}")
-    if m < 4 or m % 2:
-        raise UnsupportedShapeError(f"need an even number m >= 4 of boundary sequences, got {m}")
+    check_flag_count(m)
     return check_sequences(lambdas, n, partitions=True)
 
 
@@ -276,15 +278,16 @@ def positivity(lambdas, n: int, m=None, budget=None) -> bool:
     refuses them alone, before any inequality is evaluated.  Otherwise the
     reduced inequalities, evaluated at the boundary, are decided by
     ``linprog.feasible``.
-    ``budget`` caps ``system_rows(n, m)``, the rows of the unreduced system,
-    and is checked before any padding to n or any system is built.
+    ``budget`` (``DEFAULT_LP_ROWS`` when None) caps ``system_rows(n, m)``,
+    the rows of the unreduced system, and is checked before any padding to
+    n or any system is built.
     """
     m = len(lambdas) if m is None else m
     lams = _check_boundary(lambdas, n, m)
-    if budget is not None:
-        rows = system_rows(n, m)
-        if rows > budget:
-            raise BudgetExceededError(f"linear program needs {rows} rows, budget is {budget}")
+    cap = DEFAULT_LP_ROWS if budget is None else budget
+    rows = system_rows(n, m)
+    if rows > cap:
+        raise BudgetExceededError(f"linear program needs {rows} rows, budget is {cap}")
     beta = _boundary_vector(lams, n)
     reduced = reduced_system(n, m)
     balance = [_evaluate(form, beta) for form in reduced.eqs]

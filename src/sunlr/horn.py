@@ -45,29 +45,23 @@ from importlib import resources
 from itertools import product
 from math import lcm
 
-from .errors import (
-    BudgetExceededError,
-    InvalidInputError,
-    UnsupportedShapeError,
-    WallPreconditionError,
-)
+from .errors import BudgetExceededError, InvalidInputError, WallPreconditionError
 from .generalized import _f_sun_partitions, f_sun
 from .linprog import cone_columns, cone_implied
 from .partitions import (
-    IntSeq,
-    canonical,
-    check_sequences,
-    check_subset,
-    conjugate,
-    is_partition,
-    is_weakly_decreasing,
-    lambda_of_sorted_set,
-    pad,
+    IntSeq, canonical, check_decreasing, check_exact, check_flag_count, check_negative_tail, check_rank,
+    check_sequences, check_subset, conjugate, is_partition, lambda_of_sorted_set, pad,
 )
 
 DEFAULT_T_BUDGET = 1 << 16
 
 VARIANTS = ("one", "nonzero")
+
+
+def check_variant(variant) -> None:
+    """Refuse a variant other than "one" and "nonzero"."""
+    if variant not in VARIANTS:
+        raise InvalidInputError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 class SubsetTuple(namedtuple("SubsetTuple", "subsets n")):
@@ -81,9 +75,7 @@ class SubsetTuple(namedtuple("SubsetTuple", "subsets n")):
     __slots__ = ()
 
     def __new__(cls, subsets, n):
-        m = len(subsets)
-        if m < 4 or m % 2:
-            raise UnsupportedShapeError(f"need an even number m >= 4 of subsets, got {m}")
+        check_flag_count(len(subsets))
         return super().__new__(cls, tuple(check_subset(s, n) for s in subsets), n)
 
     @property
@@ -235,12 +227,9 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
     (budget-guarded), made once per (n, m).  The returned list is
     canonically sorted.
     """
-    if variant not in VARIANTS:
-        raise InvalidInputError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if m < 4 or m % 2:
-        raise UnsupportedShapeError(f"need an even number m >= 4 of flags, got m={m}")
-    if n < 1:
-        raise InvalidInputError(f"flag length n must be >= 1, got {n}")
+    check_variant(variant)
+    check_flag_count(m)
+    check_rank(n)
     cap = DEFAULT_T_BUDGET if budget is None else budget
     # 2^(n*m) > cap, without building 2^(n*m)
     if cap < 1 or n * m >= cap.bit_length():
@@ -257,11 +246,11 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
 
 
 def _rational(x):
-    """An int entry as it is; a Fraction or "p/q" string as a Fraction."""
+    """An int entry as it is; a Fraction or "p/q" string as a Fraction; ``check_exact`` comes first."""
     if type(x) is int:
         return x
     try:
-        if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
+        if isinstance(x, (Fraction, int, str)):
             return Fraction(x)
     except (ValueError, ZeroDivisionError):
         pass
@@ -274,12 +263,13 @@ def _check_rational_tuple(lambdas, n: int, m: int):
         raise InvalidInputError(f"expected {m} sequences, got {len(lambdas)}")
     out = []
     for idx, lam in enumerate(lambdas, start=1):
+        name = f"lambda({idx})"
+        check_exact(lam, name)
         vals = [_rational(x) for x in lam]
         if len(vals) > n:
-            raise InvalidInputError(f"lambda({idx}) has more than n={n} entries")
-        # one zero stands for the padding
-        if not is_weakly_decreasing(vals + [0] * (len(vals) < n)):
-            raise InvalidInputError(f"lambda({idx}) = {lam} is not weakly decreasing after zero padding")
+            raise InvalidInputError(f"{name} has more than n={n} entries")
+        check_decreasing(vals, name)
+        check_negative_tail(vals, n, name)
         out.append(vals)
     return out
 
@@ -353,10 +343,12 @@ def in_cone(lambdas, n: int, m: int, variant: str = "one", budget=None) -> bool:
     inequality is a comparison of two sums of Python integers.  Only the
     rows ``_two_term_sums`` keeps are compared: with the balance equality,
     checked first, they imply the rest.  The tuple is padded to n only
-    after ``generate_T`` has checked its budget.
+    after ``generate_T`` has checked its budget.  The whole request is
+    checked before the balance, so no invalid one reads as a non-member.
     """
-    if m < 4 or m % 2:
-        raise UnsupportedShapeError(f"need an even number m >= 4 of flags, got m={m}")
+    check_rank(n)
+    check_variant(variant)
+    check_flag_count(m)
     lams = _check_rational_tuple(lambdas, n, m)
     scale = lcm(*(x.denominator for lam in lams for x in lam))
     scaled = [[x.numerator * (scale // x.denominator) for x in lam] for lam in lams]

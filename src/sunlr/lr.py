@@ -43,32 +43,17 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import InvalidInputError
 from .partitions import (
-    IntSeq,
-    canonical,
-    check_sequence,
-    contains,
-    pad,
-    size,
+    IntSeq, canonical, check_negative_tail, check_partition, check_sequence, check_sequences, contains, pad, size,
 )
-
-
-def _checked(seq, n, name):
-    """Canonical form of a weakly decreasing sequence with a length-n view, unpadded."""
-    parts = check_sequence(seq, name)
-    if len(parts) > n:
-        raise InvalidInputError(f"{name} {list(seq)} has more than {n} parts")
-    if parts and parts[-1] < 0 and len(parts) < n:
-        raise InvalidInputError(f"{name} {list(seq)} has a negative tail but fewer than n={n} parts")
-    return parts
 
 
 def _normalize_triple(lam, mu, nu, n):
     """Twist (lam, nu) and then (mu, nu) into partitions; None means zero."""
-    lam = _checked(lam, n, "lambda")
-    mu = _checked(mu, n, "mu")
-    nu = _checked(nu, n, "nu")
+    # checked as lambda(1), lambda(2), lambda(3), each with a length-n view
+    lam, mu, nu = lams = check_sequences((lam, mu, nu), n)
+    for idx, parts in enumerate(lams, start=1):
+        check_negative_tail(parts, n, f"lambda({idx})")
     if size(lam) + size(mu) != size(nu):
         return None
     # only a twist pads to n: it needs a negative part, and so n parts
@@ -86,8 +71,6 @@ def _normalize_triple(lam, mu, nu, n):
 
 def lr_coefficient(lam, mu, nu, n: int) -> int:
     """c^nu_{lam,mu} for GL(n), by LR skew tableau enumeration."""
-    if n < 1:
-        raise InvalidInputError(f"rank n must be >= 1, got {n}")
     norm = _normalize_triple(lam, mu, nu, n)
     if norm is None:
         return 0
@@ -231,10 +214,7 @@ def iter_lr_hives(lam, mu, nu, n: int):
 def lr_hive_count(lam, mu, nu, n: int) -> int:
     """c^nu_{lam,mu} as the number of integer hives with boundary (lam, mu, nu)."""
     for name, seq in (("lambda", lam), ("mu", mu), ("nu", nu)):
-        parts = check_sequence(seq, name)
-        if parts and parts[-1] < 0:
-            raise InvalidInputError(f"{name} {list(seq)} must be a partition")
-        if len(parts) > n:
+        if len(check_partition(seq, name)) > n:
             return 0
     return _lr_hive_count_cached(canonical(lam), canonical(mu), canonical(nu), n)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import accumulate, product, zip_longest
 from operator import ge
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedShapeError
 
 IntSeq = tuple[int, ...]
 
@@ -37,13 +37,43 @@ def is_weakly_decreasing(seq) -> bool:
     return all(map(ge, parts, parts[1:]))
 
 
+def check_rank(n: int) -> None:
+    """Refuse a rank n < 1."""
+    if n < 1:
+        raise InvalidInputError(f"rank n must be >= 1, got {n}")
+
+
+def check_flag_count(m: int) -> None:
+    """Refuse a cyclic shape whose flag count m is not even and at least 4."""
+    if m < 4 or m % 2:
+        raise UnsupportedShapeError(f"need an even number m >= 4 of flags, got m={m}")
+
+
+def check_exact(seq, name) -> None:
+    """Refuse a float or boolean entry, which no route reads as an exact number."""
+    if any(isinstance(x, (bool, float)) for x in seq):
+        raise InvalidInputError(f"{name} {list(seq)} has a float or boolean entry; integers only, or 'p/q' in a cone")
+
+
+def check_decreasing(parts, name) -> None:
+    """Refuse a sequence of integers or Fractions that is not weakly decreasing."""
+    if not is_weakly_decreasing(parts):
+        raise InvalidInputError(f"{name} {list(parts)} is not weakly decreasing")
+
+
+def check_negative_tail(parts, n: int, name) -> None:
+    """Refuse a negative tail of fewer than n parts: zero padding to n would break weak decrease."""
+    if parts and parts[-1] < 0 and len(parts) < n:
+        raise InvalidInputError(f"{name} {list(parts)} has a negative tail but fewer than n={n} parts")
+
+
 def check_sequence(seq, name="sequence") -> IntSeq:
     """Validate integer entries and weak decrease; return the canonical form."""
     parts = tuple(seq)
     if not all(type(x) is int for x in parts):
+        check_exact(parts, name)
         raise InvalidInputError(f"{name} {list(parts)} must contain integers only")
-    if not is_weakly_decreasing(parts):
-        raise InvalidInputError(f"{name} {list(parts)} is not weakly decreasing")
+    check_decreasing(parts, name)
     return canonical(parts)
 
 
@@ -56,8 +86,7 @@ def check_partition(seq, name="partition") -> IntSeq:
 
 def check_sequences(lambdas, n: int, partitions=False) -> tuple[IntSeq, ...]:
     """Canonical l(1), ..., l(m), each of at most n parts, none negative with ``partitions``; unpadded."""
-    if n < 1:
-        raise InvalidInputError(f"rank n must be >= 1, got {n}")
+    check_rank(n)
     check = check_partition if partitions else check_sequence
     out = []
     for idx, lam in enumerate(lambdas, start=1):

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvalidInputError, UnsupportedShapeError
+from .errors import InvalidInputError
 from .generalized import f_sun
-from .partitions import check_sequences, conjugate
+from .partitions import check_flag_count, check_negative_tail, check_rank, check_sequences, conjugate
 
 Vertex = tuple[int, int]
 VertexMap = dict[Vertex, int]
@@ -43,10 +43,8 @@ class SunQuiver(namedtuple("SunQuiver", "n k")):
     __slots__ = ()
 
     def __new__(cls, n, k):
-        if n < 1:
-            raise InvalidInputError(f"flag length n must be >= 1, got {n}")
-        if k < 2:
-            raise UnsupportedShapeError(f"need k >= 2 central pairs, got k={k}")
+        check_rank(n)
+        check_flag_count(2 * k)
         return super().__new__(cls, n, k)
 
     @property
@@ -92,15 +90,10 @@ def weight_sigma1(lambdas, n: int) -> VertexMap:
     sigma(j, i) = (-1)^i (l(i)_j - l(i)_{j+1}) for j < n and
     sigma(n, i) = (-1)^i l(i)_n, with each l(i) padded to exactly n parts.
     """
-    m = len(lambdas)
-    if m < 4 or m % 2:
-        raise UnsupportedShapeError(f"need an even number m >= 4 of sequences, got {m}")
+    check_flag_count(len(lambdas))
     lams = check_sequences(lambdas, n)
     for idx, parts in enumerate(lams, start=1):
-        if parts and parts[-1] < 0 and len(parts) < n:
-            raise InvalidInputError(
-                f"lambda({idx}) = {list(parts)} has negative tail but fewer than n={n} parts"
-            )
+        check_negative_tail(parts, n, f"lambda({idx})")
     sigma: VertexMap = {}
     for i, lam in enumerate(lams, start=1):
         lam = lam + (0,) * (n - len(lam))

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sunlr import generalized, hive, horn
 from sunlr.cli import SUBCOMMAND_KIND, SUBCOMMANDS, main, parse_problem, run
-from sunlr.errors import InvalidInputError
+from sunlr.errors import InvalidInputError, SunlrError
+from sunlr.lr import lr_coefficient
 
 
 def doc(**kw):
@@ -32,14 +34,20 @@ def test_parse_valid_f_sun():
     assert p.kind == "f_sun" and p.n == 2 and p.m == 6
 
 
-def test_parse_rejects_increasing_sequence():
-    with pytest.raises(InvalidInputError):
-        parse_problem(doc(kind="f_sun", n=2, m=4, lambdas=[[0, 1], [1, 0], [1, 0], [1, 0]]))
+def test_main_rejects_increasing_sequence(capsys, monkeypatch):
+    stdin = doc(kind="f_sun", n=2, m=4, lambdas=[[0, 1], [1, 0], [1, 0], [1, 0]])
+    code, out = run_cli(capsys, ["f"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out) == {"error": "invalid-input", "message": "lambda(1) [0, 1] is not weakly decreasing"}
 
 
-def test_parse_rejects_odd_m():
-    with pytest.raises(InvalidInputError):
-        parse_problem(doc(kind="f_sun", n=1, m=5, lambdas=[[1]] * 5))
+def test_main_rejects_odd_m(capsys, monkeypatch):
+    code, out = run_cli(capsys, ["f"], stdin=doc(kind="f_sun", n=1, m=5, lambdas=[[1]] * 5), monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "unsupported-shape",
+        "message": "need an even number m >= 4 of flags, got m=5",
+    }
 
 
 def test_parse_rejects_malformed_json():
@@ -52,9 +60,14 @@ def test_parse_rejects_kind_mismatch():
         parse_problem(doc(kind="f1", n=1, lambdas=[[1]] * 4), expected_kind="f_sun")
 
 
-def test_parse_rejects_float_in_cone():
-    with pytest.raises(InvalidInputError):
-        parse_problem(doc(kind="cone", n=1, m=4, lambdas=[[0.5]] * 4))
+def test_main_rejects_float_in_cone(capsys, monkeypatch):
+    stdin = doc(kind="cone", n=1, m=4, lambdas=[[0.5]] * 4)
+    code, out = run_cli(capsys, ["cone"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "invalid-input",
+        "message": "lambda(1) [0.5] has a float or boolean entry; integers only, or 'p/q' in a cone",
+    }
 
 
 def test_run_f_sun_value():
@@ -363,30 +376,94 @@ def test_main_unreadable_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, payload, message",
+    "argv, payload, error, message",
     [
         (
             ["factorize"],
             doc(kind="factorize", n=1, lambdas=[[2], [1], [2], [1]]),
+            "invalid-input",
             "no tight nonempty inequality found for this tuple",
         ),
         (
             ["positivity"],
             doc(kind="positivity", n=1, lambdas=[[1]] * 5),
-            "kind 'positivity' needs an even number m >= 4 of sequences, got m=5",
+            "unsupported-shape",
+            "need an even number m >= 4 of flags, got m=5",
         ),
         (
             ["positivity"],
             doc(kind="positivity", n=1, lambdas=[[1, 1], [1], [1], [1]]),
+            "invalid-input",
             "lambda(1) = [1, 1] has more than n=1 parts",
         ),
     ],
     ids=["factorize-no-tight-inequality", "positivity-odd-m", "positivity-too-many-parts"],
 )
-def test_main_input_errors(capsys, monkeypatch, argv, payload, message):
+def test_main_input_errors(capsys, monkeypatch, argv, payload, error, message):
     code, out = run_cli(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
     assert code == 1
-    assert json.loads(out) == {"error": "invalid-input", "message": message}
+    assert json.loads(out) == {"error": error, "message": message}
+
+
+ONES = [[1]] * 4
+
+# case -> (argv, document, the library call its handler makes, as (function, args));
+# the CLI checks the document only, so it prints the library's refusal as it is
+LIBRARY_REFUSALS = {
+    "lr-rank": (["lr"], {"kind": "lr", "n": 0, "lambdas": [[1], [1], [2]]}, (lr_coefficient, ([1], [1], [2], 0))),
+    "lr-float": (["lr"], {"kind": "lr", "n": 2, "lambdas": [[1], [1.5], [2]]}, (lr_coefficient, ([1], [1.5], [2], 2))),
+    "f-odd-m": (["f"], {"kind": "f_sun", "n": 1, "lambdas": [[1]] * 5}, (generalized.f_sun, ([[1]] * 5, 1))),
+    "f-bool": (
+        ["f", "--cross-check"],
+        {"kind": "f_sun", "n": 1, "lambdas": [[True]] * 4},
+        (generalized.f_sun, ([[True]] * 4, 1)),
+    ),
+    "f1-m": (["f1"], {"kind": "f1", "n": 1, "lambdas": [[1]] * 3}, (generalized.f1, ([[1]] * 3, 1))),
+    "f2-m": (["f2"], {"kind": "f2", "n": 1, "lambdas": [[1]] * 2}, (generalized.f2, ([[1]] * 2, 1))),
+    "positivity-rank": (["positivity"], {"kind": "positivity", "n": -1, "lambdas": ONES}, (hive.positivity, (ONES, -1))),
+    "positivity-default-budget": (
+        ["positivity"],
+        {"kind": "positivity", "n": 40, "lambdas": ONES},
+        (hive.positivity, (ONES, 40)),
+    ),
+    "cone-string": (
+        ["cone"],
+        {"kind": "cone", "n": 1, "lambdas": [["x"], [1], [1], [1]]},
+        (horn.in_cone, ([["x"], [1], [1], [1]], 1, 4)),
+    ),
+    "cone-variant": (
+        ["cone"],
+        {"kind": "cone", "n": 1, "variant": "bogus", "lambdas": [[1], [], [], []]},
+        (horn.in_cone, ([[1], [], [], []], 1, 4, "bogus")),
+    ),
+    "horn-gen-m": (["horn-gen"], {"kind": "horn_gen", "n": 1, "m": 2}, (horn.generate_T, (1, 2))),
+    "horn-gen-rank": (["horn-gen"], {"kind": "horn_gen", "n": 0, "m": 4}, (horn.generate_T, (0, 4))),
+    "stretch-of": (
+        ["stretch"],
+        {"kind": "stretch", "n": 1, "N_max": 2, "of": "bogus", "lambdas": ONES},
+        (generalized.ChainProblem, ("bogus", 1, ONES)),
+    ),
+    "stretch-float": (
+        ["stretch"],
+        {"kind": "stretch", "n": 1, "N_max": 2, "lambdas": [[1.5]] * 4},
+        (generalized.ChainProblem, ("f_sun", 1, [[1.5]] * 4)),
+    ),
+    "factorize-odd-m": (
+        ["factorize"],
+        {"kind": "factorize", "n": 1, "lambdas": [[1]] * 5},
+        (horn.find_tight_tuples, ([[1]] * 5, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_main_prints_the_library_refusal(capsys, monkeypatch, case):
+    argv, document, (function, args) = LIBRARY_REFUSALS[case]
+    with pytest.raises(SunlrError) as exc:
+        function(*args)
+    code, out = run_cli(capsys, argv, stdin=json.dumps(document), monkeypatch=monkeypatch)
+    assert code == exc.value.exit_code
+    assert json.loads(out) == {"error": exc.value.code, "message": str(exc.value)}
 
 
 def test_main_facets26_closure(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunlr import hive
-from sunlr.errors import InvalidInputError
+from sunlr.errors import BudgetExceededError, InvalidInputError
 from sunlr.generalized import cyclic_slot_boxes, f_sun
 from sunlr.hive import (
     build_linear_system,
@@ -402,3 +403,20 @@ def test_non_integer_entries_are_refused():
             positivity(lams, 1)
         with pytest.raises(InvalidInputError, match="integers only"):
             count_sun_hives(lams, 1)
+
+
+def test_positivity_refuses_a_large_shape_without_a_budget(monkeypatch):
+    # the rows grow as n^4: (1)^4 at n = 40 would fill 800 MB before any answer
+    assert system_rows(15, 4) <= hive.DEFAULT_LP_ROWS < system_rows(16, 4)
+    reduced_system.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as exc:
+        positivity([(1,)] * 4, 40)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == f"linear program needs {system_rows(40, 4)} rows, budget is {hive.DEFAULT_LP_ROWS}"
+    assert reduced_system.cache_info().currsize == 0
+    # an explicit budget replaces the default, upwards too
+    monkeypatch.setattr(hive, "DEFAULT_LP_ROWS", 63)
+    with pytest.raises(BudgetExceededError):
+        positivity([(1,)] * 4, 2)
+    assert positivity([(1,)] * 4, 2, budget=64)

@@ -270,6 +270,16 @@ def test_in_cone_rejects_bad_input():
             in_cone([[bad], [bad], [], []], 1, 4)
 
 
+def test_in_cone_checks_the_variant_and_the_rank_before_the_balance():
+    # an unbalanced tuple is outside the cone, but a bad request must not read as one
+    unbalanced = [(1,), (), (), ()]
+    with pytest.raises(InvalidInputError, match="variant must be one of"):
+        in_cone(unbalanced, 1, 4, "bogus")
+    for lams in (unbalanced, [()] * 4):
+        with pytest.raises(InvalidInputError, match=r"rank n must be >= 1, got 0"):
+            in_cone(lams, 0, 4)
+
+
 def test_in_cone_variant_agreement_exhaustive():
     for n in (1, 2):
         for lams in iter_partition_tuples(n, 2, 4):

@@ -52,6 +52,48 @@ def test_odd_flag_count_is_an_unsupported_shape(name):
         ROUTES[name](((1,),) * 5, 1, 5)
 
 
+# one refusal per rule, raised by one function of ``partitions``:
+# rule -> (lambdas, n, m, class, message) that every route raises
+RULES = {
+    "rank-0": (((1,),) * 4, 0, 4, InvalidInputError, "rank n must be >= 1, got 0"),
+    "odd-m": (((1,),) * 5, 1, 5, UnsupportedShapeError, "need an even number m >= 4 of flags, got m=5"),
+    "float": (
+        ((1.5,), (1,), (1,), (1,)),
+        1,
+        4,
+        InvalidInputError,
+        "lambda(1) [1.5] has a float or boolean entry; integers only, or 'p/q' in a cone",
+    ),
+    "bool": (
+        ((1,), (True,), (1,), (1,)),
+        1,
+        4,
+        InvalidInputError,
+        "lambda(2) [True] has a float or boolean entry; integers only, or 'p/q' in a cone",
+    ),
+    "increasing": (((0, 1), (1,), (1,), (1,)), 2, 4, InvalidInputError, "lambda(1) [0, 1] is not weakly decreasing"),
+}
+# f1 and f2 take an odd m, so only the other rules reach them
+RULE_CASES = [
+    (name, rule) for name in sorted(ROUTES) for rule in sorted(RULES) if not (rule == "odd-m" and name in ("f1", "f2"))
+]
+
+
+@pytest.mark.parametrize("name, rule", RULE_CASES)
+def test_every_route_refuses_a_rule_with_one_message(name, rule):
+    lambdas, n, m, error, message = RULES[rule]
+    with pytest.raises(InvalidInputError) as exc:
+        ROUTES[name](lambdas, n, m)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def test_in_cone_refuses_a_negative_tail_as_the_quiver_weight_does():
+    for route in ("in_cone", "weight_sigma1"):
+        with pytest.raises(InvalidInputError) as exc:
+            ROUTES[route](((1, -1), (1,), (1,), (1,)), 3, 4)
+        assert str(exc.value) == "lambda(1) [1, -1] has a negative tail but fewer than n=3 parts"
+
+
 def test_find_tight_tuples_reads_every_flag():
     lams = ((1,), (1,), (1,), (1,), (), ())
     tight = horn.find_tight_tuples(lams, 1)
