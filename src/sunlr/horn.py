@@ -245,10 +245,11 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
     return kept
 
 
-def _rational(x):
-    """An int entry as it is; a Fraction or "p/q" string as a Fraction; ``check_exact`` comes first."""
+def _rational(x, lam, name):
+    """An int entry of ``lam`` as it is; a Fraction or "p/q" string as a Fraction."""
     if type(x) is int:
         return x
+    check_exact(lam, name)
     try:
         if isinstance(x, (Fraction, int, str)):
             return Fraction(x)
@@ -264,8 +265,7 @@ def _check_rational_tuple(lambdas, n: int, m: int):
     out = []
     for idx, lam in enumerate(lambdas, start=1):
         name = f"lambda({idx})"
-        check_exact(lam, name)
-        vals = [_rational(x) for x in lam]
+        vals = [_rational(x, lam, name) for x in lam]
         if len(vals) > n:
             raise InvalidInputError(f"{name} has more than n={n} entries")
         check_decreasing(vals, name)
