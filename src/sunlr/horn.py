@@ -50,7 +50,7 @@ from .generalized import _f_sun_partitions, f_sun
 from .linprog import cone_columns, cone_implied
 from .partitions import (
     IntSeq, canonical, check_decreasing, check_exact, check_flag_count, check_negative_tail, check_rank,
-    check_sequences, check_subset, conjugate, is_partition, lambda_of_sorted_set, pad,
+    check_sequences, check_subset, conjugate, is_partition, is_weakly_decreasing, lambda_of_sorted_set, pad,
 )
 
 DEFAULT_T_BUDGET = 1 << 16
@@ -268,8 +268,9 @@ def _check_rational_tuple(lambdas, n: int, m: int):
         vals = [_rational(x, lam, name) for x in lam]
         if len(vals) > n:
             raise InvalidInputError(f"{name} has more than n={n} entries")
-        check_decreasing(vals, name)
-        check_negative_tail(vals, n, name)
+        if not is_weakly_decreasing(vals + [0] * (len(vals) < n)):  # one zero stands for the padding
+            check_decreasing(vals, name)
+            check_negative_tail(vals, n, name)
         out.append(vals)
     return out
 

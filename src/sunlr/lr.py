@@ -49,8 +49,7 @@ from .partitions import (
 
 
 def _normalize_triple(lam, mu, nu, n):
-    """Twist (lam, nu) and then (mu, nu) into partitions; None means zero."""
-    # checked as lambda(1), lambda(2), lambda(3), each with a length-n view
+    """Check lam, mu, nu as lambda(1..3) with length-n views, twist them into partitions; None means zero."""
     lam, mu, nu = lams = check_sequences((lam, mu, nu), n)
     for idx, parts in enumerate(lams, start=1):
         check_negative_tail(parts, n, f"lambda({idx})")
