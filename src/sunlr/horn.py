@@ -245,11 +245,11 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
     return kept
 
 
-def _rational(x, lam, name):
-    """An int entry of ``lam`` as it is; a Fraction or "p/q" string as a Fraction."""
+def _rational(x, lam, idx):
+    """An int entry of ``lam`` = lambda(idx) as it is; a Fraction or "p/q" string as a Fraction."""
     if type(x) is int:
         return x
-    check_exact(lam, name)
+    check_exact(lam, f"lambda({idx})")
     try:
         if isinstance(x, (Fraction, int, str)):
             return Fraction(x)
@@ -264,13 +264,12 @@ def _check_rational_tuple(lambdas, n: int, m: int):
         raise InvalidInputError(f"expected {m} sequences, got {len(lambdas)}")
     out = []
     for idx, lam in enumerate(lambdas, start=1):
-        name = f"lambda({idx})"
-        vals = [_rational(x, lam, name) for x in lam]
+        vals = [_rational(x, lam, idx) for x in lam]
         if len(vals) > n:
-            raise InvalidInputError(f"{name} has more than n={n} entries")
+            raise InvalidInputError(f"lambda({idx}) has more than n={n} entries")
         if not is_weakly_decreasing(vals + [0] * (len(vals) < n)):  # one zero stands for the padding
-            check_decreasing(vals, name)
-            check_negative_tail(vals, n, name)
+            check_decreasing(vals, f"lambda({idx})")
+            check_negative_tail(vals, n, f"lambda({idx})")
         out.append(vals)
     return out
 
