@@ -24,31 +24,12 @@ from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from sunlr import cli  # noqa: E402
+from test_cli import VALID  # noqa: E402  (one valid document per subcommand)
 
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
-
-# the VALID documents of tests/test_cli.py, one per subcommand
-VALID = {
-    "lr": {"kind": "lr", "n": 2, "lambdas": [[1], [1], [2]]},
-    "f": {"kind": "f_sun", "n": 2, "m": 4, "lambdas": [[2, 1], [1, 1], [1], [2]]},
-    "f1": {"kind": "f1", "n": 2, "lambdas": [[1]] * 4},
-    "f2": {"kind": "f2", "n": 2, "lambdas": [[1]] * 3},
-    "positivity": {"kind": "positivity", "n": 2, "lambdas": [[2, 1], [1, 1], [1], [2]]},
-    "cone": {"kind": "cone", "n": 2, "variant": "one", "lambdas": [["1/2", 0], [1], [1], ["1/2"]]},
-    "horn-gen": {"kind": "horn_gen", "n": 2, "m": 4},
-    "stretch": {"kind": "stretch", "n": 2, "N_max": 2, "of": "f1", "lambdas": [[1]] * 4},
-    "facets26": {},
-    "factorize": {
-        "kind": "factorize",
-        "n": 2,
-        "lambdas": [[1], [1], [1], [1], [], []],
-        "subsets": [[], [], [1], [1], [1], []],
-    },
-    "selftest": {},
-}
 
 ONES = [[1]] * 4
 

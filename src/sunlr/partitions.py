@@ -56,8 +56,8 @@ def check_exact(seq, name) -> None:
 
 
 def check_decreasing(parts, name) -> None:
-    """Refuse a tuple or list of integers or Fractions that is not weakly decreasing."""
-    if not all(map(ge, parts, parts[1:])):
+    """Refuse a sequence of integers or Fractions that is not weakly decreasing."""
+    if not is_weakly_decreasing(parts):
         raise InvalidInputError(f"{name} {list(parts)} is not weakly decreasing")
 
 
