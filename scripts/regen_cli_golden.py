@@ -7,7 +7,8 @@ Usage:
 
 Each entry holds a request (argv and the document on standard input) with
 its exact standard output and exit code.  The corpus is every valid
-document of ``tests/test_cli.py``, run plain, with ``--plain`` and, where
+document of ``tests/test_cli.py`` (imported, so pytest and hypothesis must
+be installed), run plain, with ``--plain`` and, where
 the subcommand takes it, with ``--cross-check``; and refused documents, one
 or more for each value check an input passes through: integer and rational
 entries, weak decrease, the rank, the flag count of each kind, ``of`` and
