@@ -34,7 +34,9 @@ of the cached partition-only kernel ``lr._lr_tableau_count`` directly.
 Every argument it sees is a canonical partition: a slot state lies inside
 the upper argument of each factor it enters.  So a rank would never zero
 a factor, and ``lr_coefficient``'s checks, padding and twists would be
-repeated work.
+repeated work.  The slot boxes (``partitions.minimum``) and state counts
+(``partitions.count_partitions_in_box``) read the canonical partitions as
+they are for the same reason.
 
 Stretched evaluation recomputes each N from scratch; polynomiality in N is
 a property we test, never an assumption we exploit.

@@ -51,6 +51,7 @@ from .linprog import cone_columns, cone_implied
 from .partitions import (
     IntSeq, canonical, check_decreasing, check_exact, check_flag_count, check_negative_tail, check_rank,
     check_sequences, check_subset, conjugate, is_partition, is_weakly_decreasing, lambda_of_sorted_set, pad,
+    trim_zeros,
 )
 
 DEFAULT_T_BUDGET = 1 << 16
@@ -259,16 +260,23 @@ def _rational(x, lam, idx):
 
 
 def _check_rational_tuple(lambdas, n: int, m: int):
-    """Validate rational sequences, weakly decreasing once zero-padded to n; return them unpadded."""
+    """Validate rational sequences, weakly decreasing once zero-padded to n; return them unpadded.
+
+    As ``check_sequences`` does for integers, the length is read after the
+    trailing zeros are trimmed, so each returned sequence has at most n
+    entries.
+    """
     if len(lambdas) != m:
         raise InvalidInputError(f"expected {m} sequences, got {len(lambdas)}")
     out = []
     for idx, lam in enumerate(lambdas, start=1):
         vals = [_rational(x, lam, idx) for x in lam]
-        if len(vals) > n:
-            raise InvalidInputError(f"lambda({idx}) has more than n={n} entries")
-        if not is_weakly_decreasing(vals + [0] * (len(vals) < n)):  # one zero stands for the padding
+        # one zero stands for the padding; past the fast path, only trailing zeros beyond n pass
+        if len(vals) > n or not is_weakly_decreasing(vals + [0] * (len(vals) < n)):
             check_decreasing(vals, f"lambda({idx})")
+            vals = trim_zeros(vals)
+            if len(vals) > n:
+                raise InvalidInputError(f"lambda({idx}) has more than n={n} entries")
             check_negative_tail(vals, n, f"lambda({idx})")
         out.append(vals)
     return out

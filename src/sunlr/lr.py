@@ -42,9 +42,10 @@ schedule independent.
 from __future__ import annotations
 
 from functools import cache
+from operator import le
 
 from .partitions import (
-    IntSeq, canonical, check_negative_tail, check_partition, check_sequence, check_sequences, contains, pad, size,
+    IntSeq, canonical, check_negative_tail, check_partition, check_sequence, check_sequences, pad, size,
 )
 
 
@@ -89,9 +90,10 @@ def _lr_tableau_count(lam: IntSeq, nu: IntSeq, box: IntSeq) -> dict[IntSeq, int]
     in reverse-reading-word order (rows top to bottom, each row right to
     left), so the lattice condition is a running-count check.  The
     backtracking keeps its own cursor over the cells, so its depth does not
-    grow with the number of cells.
+    grow with the number of cells.  ``lam``, ``nu`` and ``box`` must be
+    canonical partitions, so containment is read on them as they are.
     """
-    if not contains(lam, nu):
+    if len(lam) > len(nu) or not all(map(le, lam, nu)):
         return {}
     lam_full = lam + (0,) * (len(nu) - len(lam))
     cells = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, lam_full[r] - 1, -1)]

@@ -9,6 +9,12 @@ Conventions used throughout the package:
   fixed-length view when an operation needs "a sequence of n integers".
 * Subsets of {1..n} are sorted tuples of distinct integers.  Desk-scale
   instances only; n <= 62 is assumed everywhere subsets index bit positions.
+* Input is validated once, at the API boundary (``check_sequence`` and its
+  callers), and comes out canonical.  The chain engine and the LR kernel
+  call ``minimum`` and ``count_partitions_in_box`` once per chain slot and
+  test containment once per kernel row, so these helpers take canonical
+  partitions as they are and do not canonicalize them again.  The exported
+  ``contains`` and ``canonical`` still accept any sequence.
 
 All functions are pure and safe for concurrent use.
 """
@@ -25,9 +31,13 @@ IntSeq = tuple[int, ...]
 
 def canonical(seq) -> IntSeq:
     """Trim trailing zeros and return the sequence as a tuple."""
-    parts = tuple(int(x) for x in seq)
+    return trim_zeros(tuple(int(x) for x in seq))
+
+
+def trim_zeros(parts):
+    """The tuple or list ``parts`` without its trailing zeros, as a slice of it."""
     end = len(parts)
-    while end > 0 and parts[end - 1] == 0:
+    while end and not parts[end - 1]:
         end -= 1
     return parts[:end]
 
@@ -68,13 +78,17 @@ def check_negative_tail(parts, n: int, name) -> None:
 
 
 def check_sequence(seq, name="sequence") -> IntSeq:
-    """Validate integer entries and weak decrease; return the canonical form."""
+    """Validate integer entries and weak decrease; return the canonical form.
+
+    Every check reads the one tuple of ``seq``: its entries are ints once
+    checked, so the canonical form is that tuple with its zeros trimmed.
+    """
     parts = tuple(seq)
     if not all(type(x) is int for x in parts):
         check_exact(parts, name)
         raise InvalidInputError(f"{name} {list(parts)} must contain integers only")
     check_decreasing(parts, name)
-    return canonical(parts)
+    return trim_zeros(parts)
 
 
 def check_partition(seq, name="partition") -> IntSeq:
@@ -106,15 +120,12 @@ def pad(seq, n: int) -> IntSeq:
     """Fixed-length view: extend with zeros to length n.
 
     Fails if the canonical length already exceeds n, or if padding would
-    break weak decrease (a negative tail cannot be zero-extended).
+    break weak decrease (a zero after a negative part).
     """
     parts = canonical(seq)
     if len(parts) > n:
         raise InvalidInputError(f"sequence {list(seq)} has more than {n} parts")
-    if parts and parts[-1] < 0:
-        raise InvalidInputError(
-            f"sequence {list(seq)} with negative tail cannot be padded with zeros"
-        )
+    check_negative_tail(parts, n, "sequence")
     return parts + (0,) * (n - len(parts))
 
 
@@ -172,8 +183,13 @@ def lambda_of_sorted_set(elems) -> IntSeq:
 
 
 def minimum(lam, mu) -> IntSeq:
-    """Componentwise minimum after zero padding (intersection of diagrams)."""
-    return canonical(min(x, y) for x, y in zip_longest(canonical(lam), canonical(mu), fillvalue=0))
+    """Componentwise minimum after zero padding (intersection of diagrams).
+
+    ``lam`` and ``mu`` must be canonical partitions: then the padding only
+    meets parts past the shorter one, and the parts both have are positive,
+    so stopping at the shorter one gives the canonical minimum.
+    """
+    return tuple(map(min, lam, mu))
 
 
 def partitions_in_box(bound) -> list[IntSeq]:
@@ -197,9 +213,11 @@ def partitions_in_box(bound) -> list[IntSeq]:
     return out
 
 
-def count_partitions_in_box(bound) -> int:
-    """``len(partitions_in_box(bound))`` by prefix sums; tail[j]: fillings ending on the j-th top value."""
-    box = canonical(bound)
+def count_partitions_in_box(box) -> int:
+    """``len(partitions_in_box(box))`` by prefix sums; tail[j]: fillings ending on the j-th top value.
+
+    ``box`` must be a canonical partition; it is read as it is.
+    """
     tail = [1] * (box[0] + 1) if box else [1]
     for r in box[1:]:
         tail = list(accumulate(tail))[-1 - r :]

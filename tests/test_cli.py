@@ -282,6 +282,19 @@ def test_main_cone_variant_flag(capsys, monkeypatch):
     assert report["input"]["lambdas"][0] == ["1/2", "0"]
 
 
+def test_main_cone_accepts_trailing_zeros_past_n(capsys, monkeypatch):
+    # [1, 0] is [1], one part at n = 1, as the f subcommand reads it
+    lambdas = [[1, 0], [1], [1], [1]]
+    stdin = doc(kind="cone", n=1, lambdas=lambdas)
+    code, out = run_cli(capsys, ["cone", "--cross-check"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    report = json.loads(out)
+    assert report["in_cone"] is True and report["cross_check"] == {"horn_nonzero": True, "horn_one": True}
+    assert report["input"]["lambdas"][0] == ["1", "0"]
+    code, out = run_cli(capsys, ["f"], stdin=doc(kind="f_sun", n=1, lambdas=lambdas), monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["value"] == 2
+
+
 def test_main_stretch(capsys, monkeypatch):
     code, out = run_cli(
         capsys,

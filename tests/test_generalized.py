@@ -1,10 +1,11 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sunlr import generalized, lr
+from sunlr import generalized, lr, partitions
 from sunlr.errors import BudgetExceededError, InvalidInputError, UnsupportedShapeError
 from sunlr.generalized import (
     ChainProblem,
@@ -106,10 +107,27 @@ def test_budgeted_chain_sum_refuses_after_an_unbudgeted_call():
 def test_f_sun_reads_one_row_per_state():
     # 273 partitions fit in (8,6,4,2), and every slot of the chain shares
     # that box, so a cold run builds one LR row per state
+    code = partitions.canonical.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_back.f_code.co_name)  # the caller, named on a failure
+
     generalized._F_SUN_MEMO.clear()
     lr._lr_tableau_count.cache_clear()
-    assert f_sun(((8, 6, 4, 2),) * 4, 4) == 13222872
+    lams = ((8, 6, 4, 2),) * 4
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        value = f_sun(lams, 4)
+    finally:
+        sys.setprofile(previous)
+    assert value == 13222872
     assert lr._lr_tableau_count.cache_info().currsize == len(partitions_in_box((8, 6, 4, 2))) == 273
+    # validation makes the sequences canonical once; the walk and the kernel
+    # read them as they are, so at most one call per flag plus the start slot
+    assert len(calls) <= len(lams) + 1, calls
 
 
 def test_f_sun_cyclic_symmetry():

@@ -270,6 +270,21 @@ def test_in_cone_rejects_bad_input():
             in_cone([[bad], [bad], [], []], 1, 4)
 
 
+def test_in_cone_reads_the_length_after_trimming_trailing_zeros():
+    # sequences that differ by trailing zeros are one sequence, as in f_sun
+    assert f_sun([[1, 0], [1], [1], [1]], 1) == 2
+    assert in_cone([[1, 0], [1], [1], [1]], 1, 4)
+    assert in_cone([["1/2", 0, 0], [Fraction(1, 2)], [1, 0], [1]], 1, 4)
+    assert not in_cone([[2, 0, 0], [1], [1, 0], [1]], 1, 4)
+    # a refused tuple reads as f_sun reads it: weak decrease first, then the length
+    with pytest.raises(InvalidInputError, match=r"lambda\(1\) \[0, 1, 0\] is not weakly decreasing"):
+        in_cone([[0, 1, 0], [1], [1], [1]], 2, 4)
+    with pytest.raises(InvalidInputError, match=r"lambda\(1\) has more than n=1 entries"):
+        in_cone([[1, 1, 0], [1], [1], [1]], 1, 4)
+    with pytest.raises(InvalidInputError, match="negative tail but fewer than n=2 parts"):
+        in_cone([[-1], [], [], [-1]], 2, 4)
+
+
 def test_in_cone_checks_the_variant_and_the_rank_before_the_balance():
     # an unbalanced tuple is outside the cone, but a bad request must not read as one
     unbalanced = [(1,), (), (), ()]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 from sunlr.errors import InvalidInputError
 from sunlr.partitions import (
     canonical,
+    check_decreasing,
+    check_exact,
     check_sequence,
     check_sequences,
     conjugate,
     contains,
     count_partitions_in_box,
     lambda_of_set,
+    minimum,
     pad,
     partitions_in_box,
     partitions_of_size_in_box,
@@ -97,6 +101,10 @@ def test_pad():
         pad((1, 1, 1), 2)
     with pytest.raises(InvalidInputError):
         pad((0, -1), 3)
+    # a negative tail pads only when padding adds no zero
+    assert pad((1, -1), 2) == (1, -1)
+    with pytest.raises(InvalidInputError, match="negative tail but fewer than n=3 parts"):
+        pad((1, -1), 3)
 
 
 def test_partitions_in_box_counts():
@@ -149,3 +157,52 @@ def test_check_sequences_returns_canonical_and_never_pads():
 def test_check_sequences_refusals(lambdas, n, partitions, message):
     with pytest.raises(InvalidInputError, match=message):
         check_sequences(lambdas, n, partitions=partitions)
+
+
+def reference_check_sequence(seq, name):
+    """``check_sequence`` as separate passes: the integer check, ``check_decreasing``, then ``canonical``."""
+    parts = tuple(seq)
+    if not all(type(x) is int for x in parts):
+        check_exact(parts, name)
+        raise InvalidInputError(f"{name} {list(parts)} must contain integers only")
+    check_decreasing(parts, name)
+    return canonical(parts)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the comparison covers any exception
+        return type(exc), str(exc)
+
+
+# weakly decreasing with trailing zeros and negative tails, any small ints, and mixed entries
+sequences = st.one_of(
+    st.tuples(
+        st.lists(st.integers(min_value=0, max_value=4), max_size=4),
+        st.integers(min_value=0, max_value=3),
+        st.lists(st.integers(min_value=-3, max_value=-1), max_size=2),
+    ).map(lambda t: [*sorted(t[0], reverse=True), *(0,) * t[1], *sorted(t[2], reverse=True)]),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=5),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-3, max_value=3),
+            st.booleans(),
+            st.floats(),
+            st.text(max_size=2),
+            st.fractions(max_denominator=3),
+        ),
+        max_size=5,
+    ),
+)
+
+
+@given(sequences, st.sampled_from([list, tuple]), partitions, partitions)
+def test_one_pass_helpers_match_their_references(seq, container, a, b):
+    seq = container(seq)
+    assert outcome(check_sequence, seq, "lambda(1)") == outcome(reference_check_sequence, seq, "lambda(1)")
+    # minimum and count_partitions_in_box take canonical partitions as they are
+    a, b = canonical(a), canonical(b)
+    assert minimum(a, b) == canonical(min(x, y) for x, y in zip_longest(a, b, fillvalue=0))
+    assert count_partitions_in_box(a) == len(partitions_in_box(a))
