@@ -16,7 +16,12 @@ I = {z_1 < ... < z_r}.  ``generate_T`` keeps the tuples with some
 |I_i| < n whose attached sequences are all partitions and whose chain
 multiplicity is 1 (variant "one") or nonzero (variant "nonzero"); the
 "one" list is the minimal-candidate list, the "nonzero" list the valid
-one, and cone membership must agree between them.
+one, and cone membership must agree between them.  The size of each
+attached sequence depends only on I_i and on |I_{i-1}| and |I_{i+1}|, so
+``_candidates`` expands only the tuples whose odd and even flags attach
+sequences of equal total size.  That drops no tuple of either list: a
+skipped tuple is unbalanced, so ``cyclic_slot_boxes`` returns None and its
+chain multiplicity is 0.
 
 The cone K(n, m) of weakly decreasing rational tuples is cut out by the
 total-size balance equality and the inequalities above.  Most of those rows
@@ -178,44 +183,64 @@ def _candidates(n: int, m: int) -> tuple:
     A candidate is a subset tuple with some |I_i| < n whose attached
     sequences are all partitions.  Even flags attach a padded conjugate,
     always a partition; odd flag i attaches it minus c_i, a partition iff
-    its last entry is >= c_i.  Both are trimmed to canonical form once, per
-    subset and per (subset, c_i), before the product is walked.  The chain
-    sums enter the memo of ``f_sun`` without its validation, as every
-    sequence built here is a partition with fewer than n parts.  Both
-    variants keep only nonzero values, so the zeros are not stored.
+    its last entry is >= c_i, where c_i = |I_i| - |I_{i-1}| - |I_{i+1}|.
+    So the size of each attached sequence depends only on I_i and on its
+    neighbours' sizes.  The subsets are grouped by attached size, once:
+    keyed by k = |I| for even flags and by (k, c) for odd flags.  For each
+    choice of the sizes (|I_2|, |I_4|, ..., |I_m|) the even side's total
+    sizes are tabulated, each odd flag's groups are read off its size and
+    its two neighbours', and only the groups whose odd total equals an
+    even total are expanded.  A skipped tuple is unbalanced, so
+    ``cyclic_slot_boxes`` returns None and its chain sum is 0, which
+    neither variant keeps: the sorted result is the one of the whole
+    2^(nm) product.  The attached sequences are trimmed to canonical form
+    once, per subset and per (subset, c_i).  The chain sums enter the memo
+    of ``f_sun`` without its validation, as every sequence built here is a
+    partition with fewer than n parts.  Both variants keep only nonzero
+    values, so the zeros are not stored.
     """
     key = ("candidates", n, m)
     hit = _T_CACHE.get(key)
     if hit is not None:
         return hit
-    subsets = [tuple(j + 1 for j in range(n) if mask >> j & 1) for mask in range(2**n)]
-    padded = {s: _padded_conjugate(s, n) for s in subsets}
-    trimmed = {s: canonical(seq) for s, seq in padded.items()}
-    # (s, c) -> the canonical odd-flag sequence padded[s] - c, None if no partition;
-    # c = |s| - |prev| - |next| lies in [|s| - 2n, |s|]
-    shifted = {
-        (s, c): None if seq and seq[-1] < c else canonical(x - c for x in seq)
-        for s, seq in padded.items()
-        for c in range(len(s) - 2 * n, len(s) + 1)
-    }
-    full = (subsets[-1],) * m
+    # even[k] and odd[k, c]: {attached size: [(subset, canonical sequence)]}
+    # over the subsets of size k; an odd-flag subset whose padded conjugate
+    # less c is no partition is left out, and c lies in [k - 2n, k]
+    even = [{} for _ in range(n + 1)]
+    odd = {}
+    for mask in range(2**n):
+        s = tuple(j + 1 for j in range(n) if mask >> j & 1)
+        k = len(s)
+        seq = _padded_conjugate(s, n)
+        size = sum(seq)
+        even[k].setdefault(size, []).append((s, canonical(seq)))
+        for c in range(k - 2 * n, k + 1):
+            if not seq or seq[-1] >= c:
+                odd.setdefault((k, c), {}).setdefault(size - c * (n - k), []).append(
+                    (s, canonical(x - c for x in seq))
+                )
+    full = (tuple(range(1, n + 1)),) * m
     classified = []
-    for subs in product(subsets, repeat=m):
-        if subs == full:
-            continue
-        under = []
-        for i, s in enumerate(subs):
-            if i % 2:
-                seq = trimmed[s]
-            else:  # odd flag i + 1
-                seq = shifted[s, len(s) - len(subs[i - 1]) - len(subs[(i + 1) % m])]
-                if seq is None:
-                    break
-            under.append(seq)
-        else:
-            val = _f_sun_partitions(tuple(under))
-            if val:
-                classified.append((subs, val))
+    half = m // 2
+    for eks in product(range(n + 1), repeat=half):  # |I_2|, |I_4|, ..., |I_m|
+        # {even side's total size: [one group per even flag]}
+        sides = {}
+        for picks in product(*(even[k].items() for k in eks)):
+            sides.setdefault(sum(w for w, _ in picks), []).append([group for _, group in picks])
+        # odd flag 2j + 1 sits between even flags 2j and 2j + 2 (flag 0 is flag m)
+        choices = [
+            [pick for k in range(n + 1) for pick in odd.get((k, k - eks[j - 1] - eks[j]), {}).items()]
+            for j in range(half)
+        ]
+        for odds in product(*choices):
+            for evens in sides.get(sum(w for w, _ in odds), ()):
+                flags = [group for pair in zip((group for _, group in odds), evens) for group in pair]
+                for pairs in product(*flags):
+                    subs, under = zip(*pairs)
+                    if subs != full:
+                        val = _f_sun_partitions(under)
+                        if val:
+                            classified.append((subs, val))
     classified.sort()
     _T_CACHE[key] = tuple(classified)
     return _T_CACHE[key]
@@ -224,9 +249,11 @@ def _candidates(n: int, m: int) -> tuple:
 def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[SubsetTuple]:
     """All subset tuples passing the partition and multiplicity filters.
 
-    Both variants filter one classification of the full 2^(nm) product
-    (budget-guarded), made once per (n, m).  The returned list is
-    canonically sorted.
+    Both variants filter one classification of the candidates, made once
+    per (n, m); it expands only balanced tuples, but the budget still
+    counts the whole 2^(nm) product and is checked before it.  The tuples
+    are built sorted from {1..n}, so the records skip ``check_subset``.
+    The returned list is canonically sorted.
     """
     check_variant(variant)
     check_flag_count(m)
@@ -241,7 +268,7 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
     if key in _T_CACHE:
         return list(_T_CACHE[key])
     one = variant == "one"
-    kept = [SubsetTuple(subs, n) for subs, val in _candidates(n, m) if (val == 1 if one else val != 0)]
+    kept = [SubsetTuple._make((subs, n)) for subs, val in _candidates(n, m) if (val == 1 if one else val != 0)]
     _T_CACHE[key] = tuple(kept)
     return kept
 
@@ -270,7 +297,9 @@ def _check_rational_tuple(lambdas, n: int, m: int):
         raise InvalidInputError(f"expected {m} sequences, got {len(lambdas)}")
     out = []
     for idx, lam in enumerate(lambdas, start=1):
-        vals = [_rational(x, lam, idx) for x in lam]
+        vals = list(lam)
+        if not all(type(x) is int for x in vals):
+            vals = [_rational(x, lam, idx) for x in vals]
         # one zero stands for the padding; past the fast path, only trailing zeros beyond n pass
         if len(vals) > n or not is_weakly_decreasing(vals + [0] * (len(vals) < n)):
             check_decreasing(vals, f"lambda({idx})")
@@ -347,7 +376,8 @@ def _index_rows(tuples, n: int, m: int, variant: str) -> tuple:
 def in_cone(lambdas, n: int, m: int, variant: str = "one", budget=None) -> bool:
     """Membership in the rational cone cut out by the Horn-type inequalities.
 
-    The tuple is scaled once by the lcm of its denominators, so each
+    A tuple with a Fraction or "p/q" entry is scaled once by the lcm of
+    its denominators, and one of plain ints is read as it is, so each
     inequality is a comparison of two sums of Python integers.  Only the
     rows ``_two_term_sums`` keeps are compared: with the balance equality,
     checked first, they imply the rest.  The tuple is padded to n only
@@ -357,9 +387,10 @@ def in_cone(lambdas, n: int, m: int, variant: str = "one", budget=None) -> bool:
     check_rank(n)
     check_variant(variant)
     check_flag_count(m)
-    lams = _check_rational_tuple(lambdas, n, m)
-    scale = lcm(*(x.denominator for lam in lams for x in lam))
-    scaled = [[x.numerator * (scale // x.denominator) for x in lam] for lam in lams]
+    scaled = _check_rational_tuple(lambdas, n, m)
+    if not all(type(x) is int for lam in scaled for x in lam):
+        scale = lcm(*(x.denominator for lam in scaled for x in lam))
+        scaled = [[x.numerator * (scale // x.denominator) for x in lam] for lam in scaled]
     if sum(map(sum, scaled[0::2])) != sum(map(sum, scaled[1::2])):
         return False
     rows = _index_rows(generate_T(n, m, variant, budget=budget), n, m, variant)

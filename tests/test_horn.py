@@ -1,6 +1,8 @@
 import hashlib
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,8 @@ def test_generate_T_budget(monkeypatch):
 
 def test_candidates_validate_nothing(monkeypatch):
     # a cold generate_T builds every attached sequence as a partition, so it
-    # runs no ChainProblem validation; the chain sums it runs are pinned
+    # runs no ChainProblem validation; it sums only balanced chains, and the
+    # chain sums it runs and the memo entries it leaves are pinned
     validated, chain_sums = [], []
 
     def counting(calls, fn):
@@ -124,7 +127,34 @@ def test_candidates_validate_nothing(monkeypatch):
     )
     generate_T(2, 6)
     assert validated == []
-    assert len(chain_sums) == 1784
+    assert len(chain_sums) == 41
+    generalized._F_SUN_MEMO.clear()
+    horn._candidates(2, 8)
+    assert len(generalized._F_SUN_MEMO) == 216
+
+
+# (n, m) -> variant -> (length, sha256 of the repr of its subsets), computed
+# by the classification of the whole 2^(nm) product
+GENERATE_T_PINS = {
+    (2, 8): {
+        "one": (1548, "8dc05ddcd8ddc06344e5305e6e74a82b01be6ec4ca2cfff29626f3779fc5838f"),
+        "nonzero": (1549, "98adfb5f1380c13de69416714d765fbc6e0d3089305a3667571231fee3299217"),
+    },
+    (4, 4): {
+        "one": (1202, "58ca788189eb9cfb66acfa7ead1bd2fcb2a99ca27b5ddac80a326194c825d66b"),
+        "nonzero": (1472, "fcc8e83a388660f3820231b8939a34ef93b9ffad4f29c6ea6d13062b2df439fd"),
+    },
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(GENERATE_T_PINS))
+def test_generate_T_pinned(monkeypatch, n, m):
+    # the shapes where the balanced enumeration skips the most, too slow for _reference_T
+    monkeypatch.setattr(horn, "_T_CACHE", {})
+    for variant, (count, digest) in GENERATE_T_PINS[n, m].items():
+        subsets = [st.subsets for st in generate_T(n, m, variant)]
+        assert len(subsets) == count, variant
+        assert hashlib.sha256(repr(subsets).encode()).hexdigest() == digest, variant
 
 
 @pytest.mark.parametrize("n, m", [(1, 4), (2, 4), (1, 6), (3, 4), (2, 6), (4, 4), (5, 6)])
@@ -283,6 +313,44 @@ def test_in_cone_reads_the_length_after_trimming_trailing_zeros():
         in_cone([[1, 1, 0], [1], [1], [1]], 1, 4)
     with pytest.raises(InvalidInputError, match="negative tail but fewer than n=2 parts"):
         in_cone([[-1], [], [], [-1]], 2, 4)
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (1, 6)])
+def test_in_cone_int_and_rational_paths_agree(n, m):
+    # a tuple of plain ints skips the Fraction conversion and the scaling;
+    # the same tuple as Fractions, as "p/1" and as "2p/2" takes them
+    forms = (
+        lambda x: x,
+        Fraction,
+        lambda x: f"{x}/1",
+        lambda x: f"{2 * x}/2",
+    )
+    for lams in iter_partition_tuples(n, 2, m):
+        for variant in VARIANTS:
+            answers = {in_cone([[form(x) for x in lam] for lam in lams], n, m, variant) for form in forms}
+            assert len(answers) == 1, (lams, variant)
+
+
+def test_in_cone_int_path_refuses_as_the_golden_corpus_does():
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    refused = [
+        (json.loads(case["stdin"]), json.loads(case["stdout"])["message"])
+        for case in golden
+        if case["argv"][0] == "cone" and "float or boolean" in case["stdout"]
+    ]
+    assert len(refused) == 2
+    # the corpus's float and bool in the first flag, and the same entries
+    # behind flags of plain ints, which take the integer path
+    cases = [(doc["lambdas"], doc["n"], message) for doc, message in refused] + [
+        ([[1], [1], [1], [0.5]], 1, "lambda(4) [0.5] has a float or boolean entry; integers only, or 'p/q' in a cone"),
+        ([[1], [1], [False], []], 1, "lambda(3) [False] has a float or boolean entry; integers only, or 'p/q' in a cone"),
+        # an earlier flag of ints is refused first, as before
+        ([[0, 1], [0.5], [], []], 2, "lambda(1) [0, 1] is not weakly decreasing"),
+    ]
+    for lams, n, message in cases:
+        with pytest.raises(InvalidInputError) as err:
+            in_cone(lams, n, 4)
+        assert str(err.value) == message
 
 
 def test_in_cone_checks_the_variant_and_the_rank_before_the_balance():
