@@ -12,8 +12,8 @@ be installed), run plain, with ``--plain`` and, where
 the subcommand takes it, with ``--cross-check``; and refused documents, one
 or more for each value check an input passes through: integer and rational
 entries, weak decrease, the rank, the flag count of each kind, ``of`` and
-the variant.  A change in the diff of the data file is a changed report or
-error payload.
+the variant; and the argv forms of ``USAGE``, accepted and refused.  A
+change in the diff of the data file is a changed report or error payload.
 """
 
 import argparse
@@ -94,6 +94,40 @@ REFUSED = [
 ]
 
 
+# argv forms the parser accepts or refuses, each with its subcommand's valid
+# document (``f``'s where there is no subcommand): a missing or unknown
+# subcommand, a flag value that is no int, missing or an option, ``=`` values,
+# a negative budget, a repeated flag (the last one wins), unique prefixes, a
+# bad choice, an explicit value for a switch, positionals and ``--``
+USAGE = [
+    [],
+    ["nosuch"],
+    ["f", "--budget", "x"],
+    ["f", "--budget"],
+    ["f", "--budget", "--plain"],
+    ["f", "--budget", "-x"],
+    ["f", "--budget=--plain"],
+    ["f", "--file"],
+    ["f", "--budget=5"],
+    ["f", "--budget", "-1"],
+    ["f", "--budget=-1"],
+    ["f", "--budget", "3", "--budget", "1000"],
+    ["f", "--cross"],
+    ["f", "--pl"],
+    ["f", "--b", "5"],
+    ["f", "--=x"],
+    ["cone", "--variant", "bogus"],
+    ["cone", "--variant=nonzero"],
+    ["f", "--plain=1"],
+    ["f", "--cross-check=1"],
+    ["f", "extra"],
+    ["f", "-x", "5"],
+    ["f", "--", "--plain"],
+    ["--plain", "f"],
+    ["facets26", "--b", "5"],
+]
+
+
 def requests():
     """(argv, stdin) of every request of the corpus, in order."""
     out = []
@@ -102,7 +136,8 @@ def requests():
         out += [([sub], text), ([sub, "--plain"], text)]
         if "--cross-check" in cli.SUBCOMMANDS[sub][2]:
             out.append(([sub, "--cross-check"], text))
-    return out + [(argv, json.dumps(document)) for argv, document in REFUSED]
+    out += [(argv, json.dumps(document)) for argv, document in REFUSED]
+    return out + [(argv, json.dumps(VALID.get(argv[0] if argv else "f", VALID["f"]))) for argv in USAGE]
 
 
 def replay(argv, stdin):
