@@ -16,6 +16,11 @@ where ``SUBCOMMANDS`` lists them, and exits 1 on any other:
 values by every available method and fails loudly on disagreement,
 ``--variant`` (``cone``, ``horn-gen``) overrides the document's valid variant, and
 ``--budget`` (all but ``facets26`` and ``selftest``) caps the enumeration.
+``_parse_argv`` reads argv from ``SUBCOMMANDS`` and ``FLAGS`` by the
+standard library parser's rules and in its usage-error wording, which the
+golden corpus pins, without importing that parser: with ``gettext``,
+``locale`` and the subparsers it would build, it cost a request more than
+the mathematics of most requests.
 
 Each kind's handler imports the layers it uses when it runs, so a request
 compiles and loads no other: ``lr`` needs only the LR kernels; ``stretch``,
@@ -27,9 +32,10 @@ quiver layers; and ``selftest`` every layer.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import BudgetExceededError, InvalidInputError, OracleDisagreementError, SunlrError
 from .lr import lr_coefficient, lr_hive_count
@@ -58,7 +64,7 @@ def _lists(doc, key, kind):
     return v
 
 
-def parse_problem(text: str, expected_kind=None) -> argparse.Namespace:
+def parse_problem(text: str, expected_kind=None) -> SimpleNamespace:
     """Parse a JSON problem document and check its structure; its values are the library's to check.
 
     Fields its kind does not use keep defaults.
@@ -77,7 +83,7 @@ def parse_problem(text: str, expected_kind=None) -> argparse.Namespace:
     if expected_kind is not None and kind != expected_kind:
         raise InvalidInputError(f"subcommand expects kind {expected_kind!r} but file says {kind!r}")
 
-    p = argparse.Namespace(kind=kind, n=0, m=0, N_max=0, lambdas=None, subsets=None, variant="one", of="f_sun")
+    p = SimpleNamespace(kind=kind, n=0, m=0, N_max=0, lambdas=None, subsets=None, variant="one", of="f_sun")
     if kind in NO_INPUT_KINDS:
         return p
     p.n = _int_field(doc, "n", kind)
@@ -335,14 +341,19 @@ SUBCOMMANDS = {
 SUBCOMMAND_KIND = {name: kind for name, (kind, _, _) in SUBCOMMANDS.items()}
 KINDS = tuple(SUBCOMMAND_KIND.values())
 
+# flag -> (conversion of its value: None for a switch, the tuple of its
+# choices, or a type; help text); every subcommand takes --file and --plain
 FLAGS = {
-    "--cross-check": dict(action="store_true"),
-    "--variant": dict(choices=["one", "nonzero"]),
-    "--budget": dict(type=int),
+    "--file": (str, "problem JSON (default: standard input)"),
+    "--cross-check": (None, "re-derive the value by every available method, exit 2 on disagreement"),
+    "--variant": (("one", "nonzero"), "Horn variant, overriding the document's"),
+    "--budget": (int, "cap on the enumeration, exit 3 past it"),
+    "--plain": (None, "print key: value lines, not JSON"),
 }
+HELP = ("-h", "--help")
 
 
-def run(p: argparse.Namespace, cross_check=False, budget=None) -> dict:
+def run(p: SimpleNamespace, cross_check=False, budget=None) -> dict:
     """Dispatch a validated problem; returns the report payload."""
     handler = next(h for kind, h, _ in SUBCOMMANDS.values() if kind == p.kind)
     return handler(p, cross_check, budget)
@@ -358,29 +369,142 @@ def _render_plain(report: dict) -> str:
     return "\n".join(lines)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as input errors (exit 1), not argparse's exit 2."""
+def _usage_error(prog, message):
+    """A usage error is an input error (exit 1): exit 2 means oracle disagreement."""
+    return InvalidInputError(f"{prog}: {message}")
 
-    def error(self, message):
-        raise InvalidInputError(f"{self.prog}: {message}")
+
+def _option(token, names, prog):
+    """How ``token`` reads against the option strings ``names``.
+
+    None for an argument, else (the option it names, None if it names none;
+    its value after ``=``, or None).  An option is named exactly or by a
+    unique prefix, and ``-h`` also with a value glued on, as in ``-hh``.  A
+    negative number or a token with a space that names no option is an
+    argument.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        hits, value = [n for n in names if n.startswith(name)], value if eq else None
+    else:
+        hits, value = [n for n in names if n == token[:2]], token[2:]
+    if len(hits) > 1:
+        raise _usage_error(prog, f"ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value
+    # compiled here, on first use: a request of exact flags never reaches it
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def _help(sub):
+    """The usage text of ``sunlr`` (``sub`` None) or of one subcommand."""
+    if sub is None:
+        return (
+            f"usage: sunlr [-h] {{{','.join(SUBCOMMANDS)}}} ...\n\n"
+            "Exact generalized Littlewood-Richardson multiplicities and cone machinery.\n"
+            "Each subcommand reads a JSON problem document; sunlr SUBCOMMAND -h lists its flags.\n"
+        )
+    usage, rows = ["[-h]"], [("-h, --help", "show this help message and exit")]
+    for flag in ("--file", *SUBCOMMANDS[sub][2], "--plain"):
+        convert, text = FLAGS[flag]
+        if isinstance(convert, tuple):
+            flag += f" {{{','.join(convert)}}}"
+        elif convert is not None:
+            flag += f" {flag[2:].upper()}"
+        usage.append(f"[{flag}]")
+        rows.append((flag, text))
+    width = max(len(flag) for flag, _ in rows) + 2
+    lines = [f"usage: sunlr {sub} {' '.join(usage)}", "", "options:"]
+    return "\n".join(lines + [f"  {flag:<{width}}{text}" for flag, text in rows]) + "\n"
+
+
+def _take_help(prog, name, value, sub):
+    """Print the usage text and exit 0, unless ``value`` is one ``-h`` or ``--help`` does not take."""
+    if value is not None:
+        # -h reads a glued value as more short options: -hh is -h -h, -hx refuses 'x'
+        rest = value.lstrip("h") if name == "-h" else value
+        if rest or not value:
+            raise _usage_error(prog, f"argument -h/--help: ignored explicit argument {rest!r}")
+    print(_help(sub), end="")
+    raise SystemExit(0)
+
+
+def _parse_argv(argv):
+    """Read ``[-h] subcommand [flags]``, taking only the flags ``SUBCOMMANDS`` lists for it.
+
+    A flag is named exactly or by a unique prefix and takes its value as
+    ``--flag value`` or ``--flag=value``; the last repeat wins.  Every
+    usage error raises ``InvalidInputError``, with the message and in the
+    order of the standard library parser.
+    """
+    extras = []
+    i = 0
+    while i < len(argv) and argv[i] != "--" and (opt := _option(argv[i], HELP, "sunlr")) is not None:
+        if opt[0] is None:
+            extras.append(argv[i])
+        else:
+            _take_help("sunlr", *opt, None)
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        raise _usage_error("sunlr", "the following arguments are required: subcommand")
+    sub = argv[i]
+    if sub not in SUBCOMMANDS:
+        choices = ", ".join(map(repr, SUBCOMMANDS))
+        raise _usage_error("sunlr", f"argument subcommand: invalid choice: {sub!r} (choose from {choices})")
+
+    prog = f"sunlr {sub}"
+    names = (*HELP, "--file", *SUBCOMMANDS[sub][2], "--plain")
+    rest = argv[i + 1 :]
+    # everything from the first -- on is an argument, so an unrecognized one
+    head = rest[: rest.index("--")] if "--" in rest else rest
+    opts = [_option(token, names, prog) for token in head]  # an ambiguous prefix refuses before any flag is read
+    args = SimpleNamespace(subcommand=sub, file=None, cross_check=False, variant=None, budget=None, plain=False)
+    j = 0
+    while j < len(head):
+        token, opt = head[j], opts[j]
+        j += 1
+        if opt is None or opt[0] is None:
+            extras.append(token)
+            continue
+        name, value = opt
+        if name in HELP:
+            _take_help(prog, name, value, sub)
+        convert = FLAGS[name][0]
+        if convert is None:
+            if value is not None:
+                raise _usage_error(prog, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None:
+            if j == len(head) or opts[j] is not None:
+                raise _usage_error(prog, f"argument {name}: expected one argument")
+            value = head[j]
+            j += 1
+        if convert is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _usage_error(prog, f"argument {name}: invalid int value: {value!r}")
+        elif isinstance(convert, tuple) and value not in convert:
+            choices = ", ".join(map(repr, convert))
+            raise _usage_error(prog, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        setattr(args, name[2:].replace("-", "_"), value)
+    extras += rest[len(head) :]
+    if extras:
+        raise _usage_error("sunlr", f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _Parser(
-        prog="sunlr",
-        description="Exact generalized Littlewood-Richardson multiplicities and cone machinery",
-    )
-    parser.set_defaults(cross_check=False, variant=None, budget=None)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, _, flags) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name)
-        sp.add_argument("--file", help="problem JSON (default: standard input)")
-        for flag in flags:
-            sp.add_argument(flag, **FLAGS[flag])
-        sp.add_argument("--plain", action="store_true")
-
     try:
-        args = parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
         kind = SUBCOMMAND_KIND[args.subcommand]
         if args.file is not None:
             try:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
 from itertools import product
 from math import lcm
 
@@ -593,6 +592,8 @@ def regular_facets(n: int, m: int) -> list[SubsetTuple]:
 def facets_2_6_golden() -> dict:
     """The embedded facet list for n = 2, m = 6: 14 inequality schemas and
     the matching dimension vectors, up to the polygon symmetries."""
+    from importlib import resources  # only this reads a file: no other request loads it
+
     return json.loads(resources.files("sunlr").joinpath("data/facets_2_6.json").read_text())
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import sys
 from unittest import mock
 
@@ -137,9 +138,57 @@ def test_main_usage_errors_are_input_errors(capsys, monkeypatch, argv):
 
 def test_main_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["f", "--help"])
+        main(["-h"])
     assert exc.value.code == 0
-    assert "--cross-check" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert all(sub in out for sub in SUBCOMMANDS)
+    # each subcommand's help names --file, --plain and exactly the flags it reads
+    for sub, (_, _, flags) in SUBCOMMANDS.items():
+        for argv in ([sub, "--help"], [sub, "-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            named = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+            assert named == {"--help", "--file", "--plain", *flags}, argv
+
+
+REPORT_F = {
+    "input": {"lambdas": [[2, 1], [1, 1], [1], [2]]},
+    "kind": "f_sun",
+    "m": 4,
+    "methods": ["chain"],
+    "n": 2,
+    "value": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["f", "--budget=5"], 0, REPORT_F),
+        (["f", "--b", "5"], 0, REPORT_F),
+        (["f", "--budget", "3", "--budget", "1000"], 0, REPORT_F),
+        (["f", "--budget", "1000", "--budget", "-1"], 3, None),
+        (["f", "--budget", "-1"], 3, None),
+        (["f", "--pl"], 0, 'kind: f_sun\nm: 4\nmethods: ["chain"]\nn: 2\nvalue: 2\n'),
+        (
+            ["f", "--cross"],
+            0,
+            {
+                **REPORT_F,
+                "cross_check": {"chain": 2, "lp_positivity": True, "sun_hive_count": 2, "weight_space": 2},
+                "methods": ["chain", "sun_hive_count", "weight_space", "lp_positivity"],
+            },
+        ),
+    ],
+)
+def test_main_accepted_argv_forms(capsys, monkeypatch, argv, code, out):
+    # unique prefixes, --flag=value, a repeat (the last one wins) and a negative budget
+    if out is None:
+        out = '{"error": "budget-exceeded", "message": "chain enumeration needs 3 states, budget is -1"}\n'
+    elif isinstance(out, dict):
+        out = json.dumps(out, sort_keys=True, indent=2) + "\n"
+    assert run_cli(capsys, argv, stdin=json.dumps(VALID["f"]), monkeypatch=monkeypatch) == (code, out)
 
 
 def test_main_deterministic_output(capsys, monkeypatch):

@@ -96,22 +96,35 @@ CHAIN = ["sunlr.generalized"]
 LP = ["sunlr.hive", "sunlr.linprog"]
 
 
-REPORT_MODULES = "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sunlr')))"
+REPORT_MODULES = "import json, sys\nprint(json.dumps(sorted(sys.modules)))"
 
 
 def loaded_after(code):
-    """The sorted ``sunlr`` modules a fresh interpreter holds after running ``code``."""
+    """The sorted modules a fresh interpreter holds after running ``code``.
+
+    It runs without ``site`` (``python -S``), which may load standard modules
+    itself, ``importlib.resources`` among them.
+    """
     script = f"{code}\n{REPORT_MODULES}\n"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def sunlr_modules(modules):
+    return [m for m in modules if m.split(".")[0] == "sunlr"]
+
+
 def test_import_sunlr_loads_only_errors():
-    assert loaded_after("import sunlr") == ["sunlr", "sunlr.errors"]
+    assert sunlr_modules(loaded_after("import sunlr")) == ["sunlr", "sunlr.errors"]
     # a submodule is still reachable as an attribute of the package
     assert "sunlr.quiver" in loaded_after("import sunlr\nsunlr.quiver.dim_si_sun")
+
+
+# no request needs them: importing dataclasses pulls in inspect, ast and dis,
+# argparse pulls in gettext and locale, and only facets26 reads a data file
+HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale", "importlib.resources"}
 
 
 @pytest.mark.parametrize(
@@ -131,7 +144,7 @@ def test_import_sunlr_loads_only_errors():
 def test_request_loads_only_its_layers(tmp_path, argv, doc, extra):
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(doc))
-    code = f"import sys\nfrom sunlr.cli import main\nassert main({argv + ['--file', str(problem)]!r}) == 0"
-    # no request needs them, and importing dataclasses pulls in inspect, ast and dis
-    code += "\nheavy = {'dataclasses', 'inspect'} & set(sys.modules)\nassert not heavy, heavy"
-    assert loaded_after(code) == sorted(BASE + extra)
+    modules = loaded_after(f"from sunlr.cli import main\nassert main({argv + ['--file', str(problem)]!r}) == 0")
+    assert sunlr_modules(modules) == sorted(BASE + extra)
+    heavy = HEAVY.intersection(modules)
+    assert not heavy, heavy
