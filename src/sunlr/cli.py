@@ -193,9 +193,16 @@ def _run_positivity(p, cross_check, budget):
     return report
 
 
-def _run_cone(p, cross_check, budget):
-    from fractions import Fraction
+def _echo_rational(x) -> str:
+    """An accepted cone entry as the report prints it: an int as it is, else as a reduced Fraction."""
+    if type(x) is int:
+        return str(x)
+    from fractions import Fraction  # only a non-int entry needs it: no integer request loads it
 
+    return str(Fraction(x))
+
+
+def _run_cone(p, cross_check, budget):
     from . import horn
 
     member = horn.in_cone(p.lambdas, p.n, p.m, p.variant, budget=budget)
@@ -204,7 +211,7 @@ def _run_cone(p, cross_check, budget):
         "n": p.n,
         "m": p.m,
         "variant": p.variant,
-        "input": {"lambdas": [[str(Fraction(x)) for x in l] for l in p.lambdas]},
+        "input": {"lambdas": [[_echo_rational(x) for x in l] for l in p.lambdas]},
         "in_cone": member,
         "methods": [f"horn_{p.variant}"],
     }

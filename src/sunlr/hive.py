@@ -49,7 +49,6 @@ boundary has its reduced rows evaluated and handed to ``linprog.feasible``.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -208,6 +207,8 @@ def build_linear_system(lambdas, n: int, m=None) -> LinearSystem:
     The rows of ``_hive_rows`` with their rhs forms evaluated; external
     base edges enter the right-hand sides as boundary constants.
     """
+    from fractions import Fraction  # only this uncached reference needs it: no request loads it
+
     m = len(lambdas) if m is None else m
     beta = _boundary_vector(_check_boundary(lambdas, n, m), n)
     names, ineqs, eqs = _hive_rows(n, m)

@@ -31,10 +31,11 @@ operations, and ``in_cone`` reads only the rows it keeps.  The facet
 subset is recovered exactly here by redundancy elimination: a row is kept
 iff it is not a nonnegative combination of the other rows plus the
 chamber rows and the balance equality, shown by a two-term sum where the
-sieve has one and by exact LP otherwise; for n = 2, m = 6 the result is
-pinned bit-exactly against embedded golden data, up to the symmetry group
-of the polygon that preserves the odd/even alternation (rotations by an
-even number of flags and the parity-preserving reflections).
+sieve has one and by exact LP over the rows the sieve keeps otherwise;
+for n = 2, m = 6 the result is pinned bit-exactly against embedded golden
+data, up to the symmetry group of the polygon that preserves the odd/even
+alternation (rotations by an even number of flags and the
+parity-preserving reflections).
 
 On a wall (a tight inequality), the multiplicity factors into the chain
 multiplicities of the subtuples picked out by the I_i and their
@@ -45,9 +46,9 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import itemgetter
 
 from .errors import BudgetExceededError, InvalidInputError, WallPreconditionError
 from .generalized import _f_sun_partitions, f_sun
@@ -170,9 +171,9 @@ def underline_lambda(subsets, n: int) -> tuple[IntSeq, ...]:
 
 # (n, m, variant) -> the generate_T list; ("candidates", n, m) -> the
 # classification both variants filter; ("sieve", n, m, variant) -> the
-# two-term sums; ("rows", n, m, variant) -> in_cone's index rows.
-# ``_FACET_CACHE`` below holds the minimal_facets lists; a cold start
-# clears both.
+# two-term sums; ("rows", n, m, variant) -> in_cone's row getters;
+# ("group", m) -> the symmetry group.  ``_FACET_CACHE`` below holds the
+# minimal_facets lists; a cold start clears both.
 _T_CACHE: dict[tuple, tuple | dict] = {}
 
 
@@ -245,6 +246,16 @@ def _candidates(n: int, m: int) -> tuple:
     return _T_CACHE[key]
 
 
+def _check_budget(n: int, m: int, budget) -> None:
+    """Refuse when the 2^(nm) subset tuples exceed the budget (default ``DEFAULT_T_BUDGET``)."""
+    cap = DEFAULT_T_BUDGET if budget is None else budget
+    # 2^(n*m) > cap, without building 2^(n*m)
+    if cap < 1 or n * m >= cap.bit_length():
+        raise BudgetExceededError(
+            f"generate_T would enumerate 2^{n*m} subset tuples, budget is {cap}"
+        )
+
+
 def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[SubsetTuple]:
     """All subset tuples passing the partition and multiplicity filters.
 
@@ -257,12 +268,7 @@ def generate_T(n: int, m: int, variant: str = "one", budget=None) -> list[Subset
     check_variant(variant)
     check_flag_count(m)
     check_rank(n)
-    cap = DEFAULT_T_BUDGET if budget is None else budget
-    # 2^(n*m) > cap, without building 2^(n*m)
-    if cap < 1 or n * m >= cap.bit_length():
-        raise BudgetExceededError(
-            f"generate_T would enumerate 2^{n*m} subset tuples, budget is {cap}"
-        )
+    _check_budget(n, m, budget)
     key = (n, m, variant)
     if key in _T_CACHE:
         return list(_T_CACHE[key])
@@ -277,6 +283,8 @@ def _rational(x, lam, idx):
     if type(x) is int:
         return x
     check_exact(lam, f"lambda({idx})")
+    from fractions import Fraction  # only a non-int entry needs it: no integer request loads it
+
     try:
         if isinstance(x, (Fraction, int, str)):
             return Fraction(x)
@@ -286,18 +294,21 @@ def _rational(x, lam, idx):
 
 
 def _check_rational_tuple(lambdas, n: int, m: int):
-    """Validate rational sequences, weakly decreasing once zero-padded to n; return them unpadded.
+    """Validate rational sequences, weakly decreasing once zero-padded to n.
 
-    As ``check_sequences`` does for integers, the length is read after the
+    Returns them unpadded, and whether every entry is a plain ``int``.  As
+    ``check_sequences`` does for integers, the length is read after the
     trailing zeros are trimmed, so each returned sequence has at most n
     entries.
     """
     if len(lambdas) != m:
         raise InvalidInputError(f"expected {m} sequences, got {len(lambdas)}")
     out = []
+    plain = True
     for idx, lam in enumerate(lambdas, start=1):
         vals = list(lam)
         if not all(type(x) is int for x in vals):
+            plain = False
             vals = [_rational(x, lam, idx) for x in vals]
         # one zero stands for the padding; past the fast path, only trailing zeros beyond n pass
         if len(vals) > n or not is_weakly_decreasing(vals + [0] * (len(vals) < n)):
@@ -307,7 +318,7 @@ def _check_rational_tuple(lambdas, n: int, m: int):
                 raise InvalidInputError(f"lambda({idx}) has more than n={n} entries")
             check_negative_tail(vals, n, f"lambda({idx})")
         out.append(vals)
-    return out
+    return out, plain
 
 
 def _two_term_sums(tuples, n: int, m: int, variant: str) -> dict:
@@ -353,20 +364,31 @@ def _two_term_sums(tuples, n: int, m: int, variant: str) -> dict:
 
 
 def _index_rows(tuples, n: int, m: int, variant: str) -> tuple:
-    """(even-side, odd-side) flat indices l(i)_j -> (i-1)*n + j-1 per inequality
-    that ``_two_term_sums`` keeps; with the balance equality they imply the rest."""
+    """(even side, odd side) getters per inequality that ``_two_term_sums``
+    keeps; with the balance equality they imply the rest.
+
+    Each getter is an ``itemgetter`` over the flat tuple, l(i)_j at
+    (i-1)*n + j-1, with one trailing 0 at n*m.  A side of fewer than two
+    entries also reads that 0, once or twice, so every getter returns a
+    tuple to sum.
+    """
     key = ("rows", n, m, variant)
     rows = _T_CACHE.get(key)
     if rows is None:
         sieved = _two_term_sums(tuples, n, m, variant)
+        zero = n * m
+
+        def getter(side):
+            return itemgetter(*side, *(zero,) * (2 - len(side)))
+
         rows = []
         for st in tuples:
             if st.subsets in sieved:
                 continue
             vec = st.coefficient_vector()
             rows.append((
-                tuple(k for k, c in enumerate(vec) if c > 0),
-                tuple(k for k, c in enumerate(vec) if c < 0),
+                getter([k for k, c in enumerate(vec) if c > 0]),
+                getter([k for k, c in enumerate(vec) if c < 0]),
             ))
         rows = _T_CACHE[key] = tuple(rows)
     return rows
@@ -379,23 +401,26 @@ def in_cone(lambdas, n: int, m: int, variant: str = "one", budget=None) -> bool:
     its denominators, and one of plain ints is read as it is, so each
     inequality is a comparison of two sums of Python integers.  Only the
     rows ``_two_term_sums`` keeps are compared: with the balance equality,
-    checked first, they imply the rest.  The tuple is padded to n only
-    after ``generate_T`` has checked its budget.  The whole request is
-    checked before the balance, so no invalid one reads as a non-member.
+    checked first, they imply the rest.  The budget is checked on every
+    call, cached rows or not, and the tuple is padded to n only after it.
+    The whole request is checked before the balance, so no invalid one
+    reads as a non-member.
     """
     check_rank(n)
     check_variant(variant)
     check_flag_count(m)
-    scaled = _check_rational_tuple(lambdas, n, m)
-    if not all(type(x) is int for lam in scaled for x in lam):
+    scaled, plain = _check_rational_tuple(lambdas, n, m)
+    if not plain:
         scale = lcm(*(x.denominator for lam in scaled for x in lam))
         scaled = [[x.numerator * (scale // x.denominator) for x in lam] for lam in scaled]
     if sum(map(sum, scaled[0::2])) != sum(map(sum, scaled[1::2])):
         return False
-    rows = _index_rows(generate_T(n, m, variant, budget=budget), n, m, variant)
-    flat = [x for lam in scaled for x in lam + [0] * (n - len(lam))]
-    get = flat.__getitem__
-    return all(sum(map(get, lo)) <= sum(map(get, hi)) for lo, hi in rows)
+    _check_budget(n, m, budget)
+    rows = _T_CACHE.get(("rows", n, m, variant))
+    if rows is None:
+        rows = _index_rows(generate_T(n, m, variant, budget=budget), n, m, variant)
+    flat = tuple(x for lam in scaled for x in lam + [0] * (n - len(lam))) + (0,)
+    return all(sum(lo(flat)) <= sum(hi(flat)) for lo, hi in rows)
 
 
 def restrict_to_subsets(full, subsets, complement=False) -> tuple[IntSeq, ...]:
@@ -469,14 +494,19 @@ def symmetry_group(m: int):
     """Flag permutations preserving the polygon and the odd/even alternation.
 
     Each element is a tuple g with g[i-1] the image of flag i: rotations by
-    an even shift plus the reflections i -> c - i (mod m) for even c.
+    an even shift plus the reflections i -> c - i (mod m) for even c.  Built
+    once per m and cached in ``_T_CACHE``.
     """
-    perms = []
-    for t in range(0, m, 2):
-        perms.append(tuple((i - 1 + t) % m + 1 for i in range(1, m + 1)))
-    for c in range(0, m, 2):
-        perms.append(tuple((c - i) % m or m for i in range(1, m + 1)))
-    return perms
+    key = ("group", m)
+    group = _T_CACHE.get(key)
+    if group is None:
+        perms = []
+        for t in range(0, m, 2):
+            perms.append(tuple((i - 1 + t) % m + 1 for i in range(1, m + 1)))
+        for c in range(0, m, 2):
+            perms.append(tuple((c - i) % m or m for i in range(1, m + 1)))
+        group = _T_CACHE[key] = tuple(perms)
+    return group
 
 
 def apply_permutation(perm, subsets):
@@ -539,7 +569,9 @@ def minimal_facets(n: int, m: int) -> list[SubsetTuple]:
     needs no LP: its row is the sum of two candidate rows, less the balance
     row for a cover, and neither is parallel to it modulo the balance row
     (each is a nonzero mask other than its own, its complement and the
-    full one), so it is not extreme and hence redundant.
+    full one), so it is not extreme and hence redundant.  Its orbit, and
+    the zero row, leave the columns before the first LP, so each LP prices
+    only rows the sieve keeps, besides the chamber and balance columns.
     """
     key = (n, m)
     if key in _FACET_CACHE:
@@ -547,22 +579,25 @@ def minimal_facets(n: int, m: int) -> list[SubsetTuple]:
     tuples = generate_T(n, m, "one")
     sieved = _two_term_sums(tuples, n, m, "one")
     vectors = {st.subsets: st.coefficient_vector() for st in tuples}
-    live = dict(zip(vectors, cone_columns(vectors.values(), [])))
-    fixed = cone_columns(_chamber_rows(n, m), [_balance_row(n, m)])
     by_orbit: dict[tuple, list[SubsetTuple]] = {}
     for st in tuples:
         by_orbit.setdefault(canonical_orbit_representative(st.subsets, m), []).append(st)
+    # the orbits an LP decides: a sieved or zero representative is redundant
+    undecided = [
+        members for members in by_orbit.values()
+        if members[0].subsets not in sieved and any(vectors[members[0].subsets])
+    ]
+    live_keys = [st.subsets for members in undecided for st in members]
+    live = dict(zip(live_keys, cone_columns([vectors[k] for k in live_keys], [])))
+    fixed = cone_columns(_chamber_rows(n, m), [_balance_row(n, m)])
     kept = []
-    for members in by_orbit.values():
+    for members in undecided:
         rep = members[0].subsets
-        target = vectors[rep]
-        if rep not in sieved and any(target) and not cone_implied(
-            target, [col for key2, col in live.items() if key2 != rep] + fixed
-        ):
-            kept.extend(members)
-        else:
+        if cone_implied(vectors[rep], [col for key2, col in live.items() if key2 != rep] + fixed):
             for st in members:
                 del live[st.subsets]
+        else:
+            kept.extend(members)
     kept.sort(key=lambda st: st.subsets)
     _FACET_CACHE[key] = tuple(kept)
     return list(kept)

@@ -104,6 +104,12 @@ def test_generate_T_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         in_cone([(1, 0)] * 4, 2, 4, "one", budget=4)
     assert horn._T_CACHE == before
+    # in_cone reads cached rows without generate_T, yet a refusal does not
+    # depend on earlier calls: with the (2, 4) rows built, it still refuses
+    assert in_cone([(1, 0)] * 4, 2, 4)
+    assert ("rows", 2, 4, "one") in horn._T_CACHE
+    with pytest.raises(BudgetExceededError):
+        in_cone([(1, 0)] * 4, 2, 4, budget=4)
 
 
 def test_candidates_validate_nothing(monkeypatch):
@@ -273,21 +279,24 @@ def test_in_cone_matches_the_full_list_exhaustive():
 
 def test_sieve_pins_at_2_6(monkeypatch):
     # the "one" list has 244 rows, in_cone reads 77 of them, and minimal_facets
-    # solves 19 of its 56 orbits by LP, the others being sieved or zero
+    # solves 19 of its 56 orbits by LP, the others being sieved or zero; each
+    # LP prices only the 76 nonzero kept rows less its target, plus 6 chamber
+    # columns and the 2 halves of the balance equality
     monkeypatch.setattr(horn, "_T_CACHE", {})
     monkeypatch.setattr(horn, "_FACET_CACHE", {})
-    calls = []
+    widths = []
 
-    def counting(*args):
-        calls.append(args)
-        return cone_implied(*args)
+    def counting(c, columns):
+        widths.append(len(columns))
+        return cone_implied(c, columns)
 
     monkeypatch.setattr(horn, "cone_implied", counting)
     tuples = generate_T(2, 6)
     assert len(tuples) == 244
     assert len(horn._index_rows(tuples, 2, 6, "one")) == 77
     assert len(minimal_facets(2, 6)) == 69
-    assert len(calls) == 19
+    assert len(widths) == 19
+    assert max(widths) <= 76 - 1 + 8
 
 
 def test_in_cone_rejects_bad_input():
@@ -439,6 +448,7 @@ def test_cold_rebuilds_compare_equal(monkeypatch):
 
 def test_symmetry_group_structure():
     group = symmetry_group(6)
+    assert symmetry_group(6) is group  # built once per m
     assert len(group) == 6
     identity = tuple(range(1, 7))
     assert identity in group
@@ -524,6 +534,7 @@ def test_minimal_facets_matches_reference(monkeypatch, n, m):
     "n, m, count, digest",
     [
         (3, 4, 70, "bcf18aaa8698c0ecf9281be4e03c1fe7e4762a17180cb0a56457b6dde70c561d"),
+        (2, 8, 248, "303f7583b595ad90edb89f580a19789693b666ce31fae7939ea582a4625c2fd8"),
         (1, 10, 25, "fd012b49522c8208d0ad345531a8590fcc9a9b697d6379debb145a3cfa295528"),
     ],
 )

@@ -123,8 +123,9 @@ def test_import_sunlr_loads_only_errors():
 
 
 # no request needs them: importing dataclasses pulls in inspect, ast and dis,
-# argparse pulls in gettext and locale, and only facets26 reads a data file
-HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale", "importlib.resources"}
+# argparse pulls in gettext and locale, fractions pulls in decimal and numbers
+# (only a non-int cone entry needs it), and only facets26 reads a data file
+HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal", "importlib.resources"}
 
 
 @pytest.mark.parametrize(
