@@ -39,11 +39,13 @@ integral hive for a stretched boundary, and the zero/nonzero status of the
 chain sum is stretch invariant.
 
 Because only the rhs depends on the boundary, ``positivity`` eliminates the
-equalities once per shape with the rhs forms carried along
-(``reduced_system``, cached for a few shapes).  Per call it evaluates the
-leftover boundary equalities, which have no variables; when one of them
-is nonzero, ``linprog.feasible`` refuses them alone.  Only a balanced
-boundary has its reduced rows evaluated and handed to ``linprog.feasible``.
+equalities once per shape with the rhs forms carried along, and groups the
+reduced rows by direction (``reduced_system``, cached for a few shapes).
+Per call it evaluates the leftover boundary equalities, which have no
+variables; when one of them is nonzero, ``linprog.feasible`` refuses them
+alone.  A balanced boundary only has its reduced rhs forms evaluated: the
+tightest row of each direction goes to ``linprog.simplex_feasible``, whose
+sign rows make every live column nonnegative, so no column is split.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from operator import mul
 
 from .errors import BudgetExceededError, InvalidInputError
 from .generalized import cyclic_chain_sum
-from .linprog import _echelon, _reduce, feasible
+from . import linprog
+from .linprog import _directions, _echelon, _reduce, _tightest_rows, feasible
 from .lr import lr_hive_count
 from .partitions import check_flag_count, check_sequences, partitions_of_size_in_box, size
 
@@ -225,13 +228,15 @@ def lp_feasible(system: LinearSystem) -> bool:
     return feasible(system.ineqs, system.eqs, len(system.variables))
 
 
-class ReducedSystem(namedtuple("ReducedSystem", "live ineqs eqs")):
+class ReducedSystem(namedtuple("ReducedSystem", "live ineqs eqs directions")):
     """The hive system of one shape (n, m) with its equations eliminated, rhs symbolic.
 
     ``live`` holds the indices (into ``_hive_rows``' variables) of the
     columns some inequality still uses.  ``ineqs`` are the distinct rows
     (coefficients over ``live``, rhs form) and ``eqs`` the rhs forms of the
     boundary equalities left over, each reading 0 = form . boundary.
+    ``directions`` groups the rows of ``ineqs`` by direction, as
+    ``linprog._directions`` does for ``linprog.feasible``.
     """
 
     __slots__ = ()
@@ -249,7 +254,7 @@ def reduced_system(n: int, m: int) -> ReducedSystem:
     Every live column is a variable of ``_hive_rows`` that no pivot
     removed, so its sign row -x_j <= 0, which touches no pivot column,
     comes through unchanged, with a zero rhs form: the reduced rows imply
-    x >= 0.
+    x >= 0, so ``linprog.simplex_feasible`` splits no live column.
     """
     names, ineqs, eqs = _hive_rows(n, m)
     k = len(names)
@@ -267,7 +272,8 @@ def reduced_system(n: int, m: int) -> ReducedSystem:
         if next(x for x in form if x) < 0:
             form = tuple(-x for x in form)
         balances[form] = None
-    return ReducedSystem(live, tuple((tuple(row[j] for j in live), row[k:]) for row in rows), tuple(balances))
+    reduced = tuple((tuple(row[j] for j in live), row[k:]) for row in rows)
+    return ReducedSystem(live, reduced, tuple(balances), tuple(_directions([a for a, _ in reduced])))
 
 
 def positivity(lambdas, n: int, m=None, budget=None) -> bool:
@@ -277,8 +283,10 @@ def positivity(lambdas, n: int, m=None, budget=None) -> bool:
     evaluated first.  They have no variables, so an unbalanced boundary
     makes one of them read 0 = d with d != 0, and the equality elimination
     refuses them alone, before any inequality is evaluated.  Otherwise the
-    reduced inequalities, evaluated at the boundary, are decided by
-    ``linprog.feasible``.
+    reduced rhs forms are evaluated at the boundary, and the tightest row of
+    each direction goes to one ``linprog.simplex_feasible`` call; there is
+    no equality elimination, live-column scan or direction grouping left to
+    do per call.
     ``budget`` (``DEFAULT_LP_ROWS`` when None) caps ``system_rows(n, m)``,
     the rows of the unreduced system, and is checked before any padding to
     n or any system is built.
@@ -294,5 +302,6 @@ def positivity(lambdas, n: int, m=None, budget=None) -> bool:
     balance = [_evaluate(form, beta) for form in reduced.eqs]
     if any(balance):
         return feasible([], [((), d) for d in balance], 0)
-    ineqs = [(a, _evaluate(form, beta)) for a, form in reduced.ineqs]
-    return feasible(ineqs, [], len(reduced.live))
+    coeffs = [a for a, _ in reduced.ineqs]
+    rhs = [_evaluate(form, beta) for _, form in reduced.ineqs]
+    return linprog.simplex_feasible(_tightest_rows(coeffs, rhs, reduced.directions), [], len(reduced.live))

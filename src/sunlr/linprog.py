@@ -6,12 +6,16 @@ later step computes in Python integers; no Fraction is made here.
 
 * ``feasible`` decides {Ax <= b, Ex = d}: ``eliminate_equalities``
   substitutes the equalities out, the columns they leave zero in every row
-  are dropped, one row is kept per direction (the tightest), and
-  ``simplex_feasible`` decides the reduced inequalities.
+  are dropped, one row is kept per direction (``_directions`` and
+  ``_tightest_rows``), and ``simplex_feasible`` decides the reduced
+  inequalities.
 * ``_echelon`` is that elimination's pivot loop over any number of
-  trailing rhs columns; ``hive`` runs it once per shape on rhs forms.
+  trailing rhs columns; ``hive`` runs it once per shape on rhs forms, and
+  groups the reduced rows by direction once per shape too.
 * ``simplex_feasible`` decides {Ax <= b, Ex = d} directly by a phase-1
-  simplex with Bland's rule (termination guaranteed).
+  simplex with Bland's rule (termination guaranteed).  A variable with a
+  sign row -c x_k <= b, c > 0, b <= 0 is nonnegative and needs one column;
+  only the others are split into two.
 * ``cone_implied`` decides whether c.x <= 0 follows from a homogeneous
   system {rows.x <= 0, eqs.x = 0}; by LP duality this is membership of c in
   the cone spanned by the rows plus the span of the equalities, solved as a
@@ -290,19 +294,60 @@ def _phase1(columns, rhs, basis) -> bool:
 
 
 def simplex_feasible(ineqs, eqs, nvars) -> bool:
-    """Phase-1 simplex feasibility for {Ax <= b, Ex = d}, x free.
+    """Phase-1 simplex feasibility for {Ax <= b, Ex = d}.
 
-    Free variables are split x = u - v and every inequality gets a slack,
-    which is its starting basic variable when its rhs is nonnegative.  The
+    A one-variable inequality -c x_k <= b with c > 0 and b <= 0 (a sign
+    row) bounds x_k below by -b/c >= 0, so x_k is nonnegative and gets one
+    column; every other variable is free and is split x = u - v.  On a
+    nonnegative variable a one-variable row -c x_k <= b with b >= 0 holds
+    everywhere and is dropped.  Every inequality kept gets a slack, which
+    is its starting basic variable when its rhs is nonnegative.  The
     columns are those of u, then v, then the slacks.
     """
-    n_ineq = len(ineqs)
-    rows = [_normalize_int_row(a, b) for a, b in [*ineqs, *eqs]]
+    rows = [_normalize_int_row(a, b) for a, b in ineqs]
+    sign_var = {}
+    for i, (a, _) in enumerate(rows):
+        nonzero = [k for k, x in enumerate(a) if x]
+        if len(nonzero) == 1 and a[nonzero[0]] < 0:
+            sign_var[i] = nonzero[0]
+    nonneg = {k for i, k in sign_var.items() if rows[i][1] <= 0}
+    rows = [row for i, row in enumerate(rows) if not (sign_var.get(i) in nonneg and row[1] >= 0)]
+    n_ineq = len(rows)
+    rows += [_normalize_int_row(a, b) for a, b in eqs]
     u = [_sparse([a[j] for a, _ in rows]) for j in range(nvars)]
-    v = [(idx, tuple(-x for x in vals)) for idx, vals in u]
+    v = [(idx, tuple(-x for x in vals)) for j, (idx, vals) in enumerate(u) if j not in nonneg]
+    first_slack = len(u) + len(v)
     slacks = [((i,), (1,)) for i in range(n_ineq)]
-    basis = [2 * nvars + i for i in range(n_ineq)] + [None] * len(eqs)
+    basis = [first_slack + i for i in range(n_ineq)] + [None] * len(eqs)
     return _phase1(u + v + slacks, [b for _, b in rows], basis)
+
+
+def _directions(coeffs):
+    """The rows of ``coeffs`` grouped by direction a/gcd(a), in order of first appearance.
+
+    Each group lists (row index, gcd(a)); a zero row is its own direction.
+    """
+    groups = {}
+    for k, a in enumerate(coeffs):
+        g = gcd(*a) or 1
+        groups.setdefault(tuple(x // g for x in a), []).append((k, g))
+    return [tuple(group) for group in groups.values()]
+
+
+def _tightest_rows(coeffs, rhs, directions):
+    """One row (coeffs[k], rhs[k]) per group of ``directions``: the smallest rhs[k]/gcd, the first on ties.
+
+    Within a direction that row implies the others, so the system keeps its
+    solutions.
+    """
+    rows = []
+    for group in directions:
+        k, g = group[0]
+        for k2, g2 in group[1:]:
+            if rhs[k2] * g < rhs[k] * g2:
+                k, g = k2, g2
+        rows.append((coeffs[k], rhs[k]))
+    return rows
 
 
 def feasible(ineqs, eqs, nvars) -> bool:
@@ -311,17 +356,8 @@ def feasible(ineqs, eqs, nvars) -> bool:
     if not ok:
         return False
     live = [j for j in range(nvars) if any(a[j] for a, _ in reduced)]
-    # one row per direction a/gcd(a), with the smallest b/gcd(a); a zero
-    # left-hand side is its own direction, left for the simplex to decide
-    tightest = {}
-    for a, b in reduced:
-        a = tuple(a[j] for j in live)
-        g = gcd(*a) or 1
-        key = tuple(x // g for x in a)
-        kept = tightest.get(key)
-        if kept is None or b * kept[2] < kept[1] * g:
-            tightest[key] = (a, b, g)
-    rows = [(a, b) for a, b, _ in tightest.values()]
+    coeffs = [tuple(a[j] for j in live) for a, _ in reduced]
+    rows = _tightest_rows(coeffs, [b for _, b in reduced], _directions(coeffs))
     return simplex_feasible(rows, [], len(live))
 
 

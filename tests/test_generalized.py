@@ -1,5 +1,6 @@
 import itertools
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from sunlr.generalized import (
     level1_lambdas,
     stretched_table,
 )
-from sunlr.hive import count_sun_hives
+from sunlr.hive import count_sun_hives, reduced_system
 from sunlr.lr import lr_coefficient
 from sunlr.partitions import iter_partition_tuples, partitions_in_box, stretch
 
@@ -349,6 +350,48 @@ def test_small_values_stretch_like_single_lr_coefficients(n, m, max_entry, ones,
             for N in (2, 3):
                 assert f_sun([stretch(l, N) for l in lams], n) == (1 if value == 1 else N + 1), (lams, N)
     assert found == {1: ones, 2: twos}
+
+
+def stretched_polynomial(lams, n, d):
+    """The coefficients, constant first, of the polynomial P of degree <= d
+    with P(N) = f_sun(N lams) at N = 0, ..., d, from d + 1 chain sums.
+
+    Newton's forward differences: P(N) = sum_k (Delta^k f)(0) binomial(N, k).
+    """
+    diffs = [f_sun([stretch(lam, N) if N else () for lam in lams], n) for N in range(d + 1)]
+    coeffs = [Fraction(0)] * (d + 1)
+    binom = [Fraction(1)]  # binomial(N, k) as a polynomial in N, constant first
+    for k in range(d + 1):
+        for i, c in enumerate(binom):
+            coeffs[i] += diffs[0] * c
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        # binomial(N, k + 1) = binomial(N, k) (N - k) / (k + 1)
+        binom = [(lo - k * hi) / (k + 1) for lo, hi in zip([0, *binom], [*binom, 0])]
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+@pytest.mark.parametrize("n, m, max_entry, nonzero", [(2, 4, 2, 180), (2, 6, 1, 111)])
+def test_stretched_polynomials(n, m, max_entry, nonzero):
+    # the conjectures for a single LR coefficient, on f(N lambda): a
+    # polynomial (of degree at most d, the live columns of the hive LP, which
+    # bound the fiber polytope's dimension), with coefficients >= 0, equal to
+    # 1 when f = 1 and to N + 1 when f = 2
+    d = len(reduced_system(n, m).live)
+    seen = 0
+    for lams in iter_partition_tuples(n, max_entry, m):
+        value = f_sun(lams, n)
+        if not value:
+            continue
+        seen += 1
+        P = stretched_polynomial(lams, n, d)
+        for N in range(d + 1, d + 4):
+            assert sum(c * N**i for i, c in enumerate(P)) == f_sun([stretch(lam, N) for lam in lams], n), (lams, N)
+        assert min(P) >= 0, (lams, P)
+        if value <= 2:
+            assert P == [1] * value, (lams, P)
+    assert seen == nonzero
 
 
 def test_chain_problem_validation():

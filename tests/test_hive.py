@@ -147,6 +147,17 @@ def test_positivity_n3_m4_matches_chain_sum():
         assert positivity(lams, n, 4) == (f_sun(lams, n) > 0), (lams, n)
 
 
+@pytest.mark.parametrize(
+    "lams, n",
+    [([(2, 1)] * 4, 4), ([(3, 2, 1)] * 4, 5), ([(4,), (1, 1, 1, 1), (4,), (1, 1, 1, 1)], 4)],
+    ids=["21-n4", "321-n5", "balanced-infeasible-n4"],
+)
+def test_positivity_at_n4_and_n5_matches_chain_sum(lams, n):
+    # the chain sum shares no code with the LP, while the uncached system
+    # now shares its presolve; the last tuple is balanced and gives f = 0
+    assert positivity(lams, n) == (f_sun(lams, n) > 0)
+
+
 def test_positivity_stretch_consistency():
     random.seed(7)
     for _ in range(10):
@@ -267,7 +278,7 @@ def test_reduced_rows_hold_the_sign_row_of_every_live_column(n, m):
         assert (tuple(-(i == j) for i in range(k)), (0,) * (m * n)) in rows, (n, m, j)
 
 
-def test_positivity_runs_one_elimination_and_at_most_one_simplex(monkeypatch):
+def test_positivity_runs_one_elimination_or_one_simplex(monkeypatch):
     from sunlr import linprog
 
     calls = []
@@ -287,13 +298,46 @@ def test_positivity_runs_one_elimination_and_at_most_one_simplex(monkeypatch):
         calls.clear()
         positivity(lams, n)
         if balanced:
-            assert calls.count("eliminate_equalities") == 1, lams
-            assert calls.count("simplex_feasible") <= 1, lams
+            # the per-shape rows leave nothing to eliminate: one simplex
+            assert calls.count("eliminate_equalities") == 0, lams
+            assert calls.count("simplex_feasible") == 1, lams
         else:
             # the leftover balance equations alone refuse it, before any
             # inequality form is evaluated
             nbalance = len(reduced_system(n, len(lams)).eqs)
             assert calls == ["_evaluate"] * nbalance + ["eliminate_equalities"], lams
+
+
+@pytest.mark.parametrize(
+    "lams, n",
+    [
+        ([(1,)] * 6, 2),
+        ([(), (), (), (2,), (2, 2), (1, 1)], 2),
+        ([(2, 1)] * 4, 3),
+        ([(2,), (1, 1), (), ()], 3),
+        ([(2, 1)] * 4, 4),
+        ([(3,), (1, 1, 1), (), ()], 4),
+    ],
+)
+def test_positivity_splits_no_live_column(monkeypatch, lams, n):
+    # every live column has a sign row, so the phase-1 problem has one column
+    # per live variable and one slack per row; the free split had 56 columns
+    # over 42 rows at (2, 6), 14 more than rows for 7 live variables.  Some
+    # of these boundaries make a sign direction's tightest row read b < 0.
+    from sunlr import linprog
+
+    shapes = []
+    phase1 = linprog._phase1
+
+    def record(columns, rhs, basis):
+        shapes.append((len(columns), len(rhs)))
+        return phase1(columns, rhs, basis)
+
+    monkeypatch.setattr(linprog, "_phase1", record)
+    answer = positivity(lams, n)
+    assert answer == (f_sun(lams, n) > 0)
+    (columns, rows), = shapes
+    assert columns - rows == len(reduced_system(n, len(lams)).live)
 
 
 def test_reduced_system_cache_is_bounded():

@@ -96,6 +96,60 @@ def test_backends_agree_randomized_larger():
         checked_feasible(ineqs, eqs, nv)
 
 
+@pytest.mark.parametrize(
+    "ineqs, columns, rows, answer",
+    [
+        # x >= -1 says nothing of the sign: x stays free, split in two
+        ([((-1,), 1), ((2,), -1)], 4, 2, True),
+        # x >= 1/2 makes x nonnegative and is kept
+        ([((-2,), -1), ((1,), 1)], 3, 2, True),
+        # x >= 0 makes x nonnegative and is dropped, as is x >= -3
+        ([((-1,), 0), ((-1,), 3), ((1,), -1)], 2, 1, False),
+        # a sign row on y alone: x is split, y is not
+        ([((0, -1), 0), ((1, 1), -1)], 4, 1, True),
+    ],
+)
+def test_simplex_reads_sign_rows(monkeypatch, ineqs, columns, rows, answer):
+    shapes = []
+    phase1 = linprog._phase1
+
+    def record(cols, rhs, basis):
+        shapes.append((len(cols), len(rhs)))
+        return phase1(cols, rhs, basis)
+
+    monkeypatch.setattr(linprog, "_phase1", record)
+    nvars = len(ineqs[0][0])
+    assert simplex_feasible(ineqs, [], nvars) == answer == fourier_motzkin_feasible(ineqs, nvars)
+    assert shapes == [(columns, rows)]
+
+
+def test_sign_row_presolve_matches_fourier_motzkin():
+    # free and sign-rowed variables mixed, one-variable rows -c x_k <= b with
+    # b < 0, b = 0 and b > 0; a variable whose only such row has b > 0 must
+    # stay free
+    random.seed(29)
+    for _ in range(300):
+        nv = random.randint(1, 4)
+        ineqs = []
+        for k in range(nv):
+            for _ in range(random.randint(0, 2)):
+                unit = [0] * nv
+                unit[k] = -random.randint(1, 3)
+                ineqs.append((tuple(unit), random.randint(-2, 2)))
+        ineqs += [
+            (tuple(random.randint(-3, 3) for _ in range(nv)), random.randint(-4, 4))
+            for _ in range(random.randint(0, 5))
+        ]
+        random.shuffle(ineqs)
+        eqs = [
+            (tuple(random.randint(-2, 2) for _ in range(nv)), random.randint(-3, 3))
+            for _ in range(random.choice((0, 0, 1)))
+        ]
+        assert checked_feasible(ineqs, eqs, nv) == (
+            fourier_motzkin_feasible(ineqs + eqs + [(tuple(-x for x in a), -b) for a, b in eqs], nv)
+        ), (ineqs, eqs)
+
+
 def test_cone_implied_basics():
     assert cone_implied((1, 1), cone_columns([(1, 0), (0, 1)], []))
     assert not cone_implied((1, -1), cone_columns([(1, 0), (0, 1)], []))
