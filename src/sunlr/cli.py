@@ -16,11 +16,12 @@ where ``SUBCOMMANDS`` lists them, and exits 1 on any other:
 values by every available method and fails loudly on disagreement,
 ``--variant`` (``cone``, ``horn-gen``) overrides the document's valid variant, and
 ``--budget`` (all but ``facets26`` and ``selftest``) caps the enumeration.
-``_parse_argv`` reads argv from ``SUBCOMMANDS`` and ``FLAGS`` by the
-standard library parser's rules and in its usage-error wording, which the
-golden corpus pins, without importing that parser: with ``gettext``,
-``locale`` and the subparsers it would build, it cost a request more than
-the mathematics of most requests.
+``_parse_argv`` reads a subcommand followed by flags named exactly, the
+form every client sends, itself; any other argv goes to ``argparse``, built
+from the same two tables ``SUBCOMMANDS`` and ``FLAGS``, which prints the
+help and words every usage error.  So a request of exact flags never
+imports that parser: with ``gettext``, ``locale`` and the subparsers it
+would build, it cost a request more than the mathematics of most requests.
 
 Each kind's handler imports the layers it uses when it runs, so a request
 compiles and loads no other: ``lr`` needs only the LR kernels; ``stretch``,
@@ -33,7 +34,6 @@ quiver layers; and ``selftest`` every layer.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from types import SimpleNamespace
 
@@ -73,6 +73,8 @@ def parse_problem(text: str, expected_kind=None) -> SimpleNamespace:
         doc = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"malformed JSON: {exc}")
+    except RecursionError:
+        raise InvalidInputError("JSON document nested too deeply")
     if not isinstance(doc, dict):
         raise InvalidInputError("problem document must be a JSON object")
     kind = doc.get("kind", expected_kind)
@@ -330,7 +332,7 @@ def _run_selftest(p, cross_check, budget):
 
 
 # subcommand -> (kind, handler(problem, cross_check, budget), flags the handler
-# reads besides --file and --plain); main registers no other flag
+# reads besides --file and --plain); the CLI takes no other flag
 SUBCOMMANDS = {
     "lr": ("lr", _run_lr, ("--cross-check", "--budget")),
     "f": ("f_sun", _run_f_sun, ("--cross-check", "--budget")),
@@ -357,7 +359,6 @@ FLAGS = {
     "--budget": (int, "cap on the enumeration, exit 3 past it"),
     "--plain": (None, "print key: value lines, not JSON"),
 }
-HELP = ("-h", "--help")
 
 
 def run(p: SimpleNamespace, cross_check=False, budget=None) -> dict:
@@ -376,153 +377,78 @@ def _render_plain(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _usage_error(prog, message):
-    """A usage error is an input error (exit 1): exit 2 means oracle disagreement."""
-    return InvalidInputError(f"{prog}: {message}")
+def _stdlib_parse(argv):
+    """Parse ``argv`` with the standard library parser, built from ``SUBCOMMANDS`` and ``FLAGS``.
 
-
-def _option(token, names, prog):
-    """How ``token`` reads against the option strings ``names``.
-
-    None for an argument, else (the option it names, None if it names none;
-    its value after ``=``, or None).  An option is named exactly or by a
-    unique prefix, and ``-h`` also with a value glued on, as in ``-hh``.  A
-    negative number or a token with a space that names no option is an
-    argument.
+    It prints the help and exits 0 on ``-h``, and raises every usage error
+    as ``InvalidInputError`` (exit 1: exit 2 means oracle disagreement).
     """
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in names:
-        return token, None
-    name, eq, value = token.partition("=")
-    if eq and name in names:
-        return name, value
-    if token[1] == "-":
-        hits, value = [n for n in names if n.startswith(name)], value if eq else None
-    else:
-        hits, value = [n for n in names if n == token[:2]], token[2:]
-    if len(hits) > 1:
-        raise _usage_error(prog, f"ambiguous option: {token} could match {', '.join(hits)}")
-    if hits:
-        return hits[0], value
-    # compiled here, on first use: a request of exact flags never reaches it
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None
-    return None, None
+    import argparse
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise InvalidInputError(f"{self.prog}: {message}")
 
-def _help(sub):
-    """The usage text of ``sunlr`` (``sub`` None) or of one subcommand."""
-    if sub is None:
-        return (
-            f"usage: sunlr [-h] {{{','.join(SUBCOMMANDS)}}} ...\n\n"
-            "Exact generalized Littlewood-Richardson multiplicities and cone machinery.\n"
-            "Each subcommand reads a JSON problem document; sunlr SUBCOMMAND -h lists its flags.\n"
-        )
-    usage, rows = ["[-h]"], [("-h, --help", "show this help message and exit")]
-    for flag in ("--file", *SUBCOMMANDS[sub][2], "--plain"):
-        convert, text = FLAGS[flag]
-        if isinstance(convert, tuple):
-            flag += f" {{{','.join(convert)}}}"
-        elif convert is not None:
-            flag += f" {flag[2:].upper()}"
-        usage.append(f"[{flag}]")
-        rows.append((flag, text))
-    width = max(len(flag) for flag, _ in rows) + 2
-    lines = [f"usage: sunlr {sub} {' '.join(usage)}", "", "options:"]
-    return "\n".join(lines + [f"  {flag:<{width}}{text}" for flag, text in rows]) + "\n"
-
-
-def _take_help(prog, name, value, sub):
-    """Print the usage text and exit 0, unless ``value`` is one ``-h`` or ``--help`` does not take."""
-    if value is not None:
-        # -h reads a glued value as more short options: -hh is -h -h, -hx refuses 'x'
-        rest = value.lstrip("h") if name == "-h" else value
-        if rest or not value:
-            raise _usage_error(prog, f"argument -h/--help: ignored explicit argument {rest!r}")
-    print(_help(sub), end="")
-    raise SystemExit(0)
+    parser = Parser(prog="sunlr", description="Exact generalized Littlewood-Richardson multiplicities and cone machinery")
+    parser.set_defaults(cross_check=False, variant=None, budget=None)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, _, flags) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name)
+        for flag in ("--file", *flags, "--plain"):
+            convert, text = FLAGS[flag]
+            if convert is None:
+                sp.add_argument(flag, action="store_true", help=text)
+            elif isinstance(convert, tuple):
+                sp.add_argument(flag, choices=convert, help=text)
+            else:
+                sp.add_argument(flag, type=convert, help=text)
+    return parser.parse_args(argv)
 
 
 def _parse_argv(argv):
-    """Read ``[-h] subcommand [flags]``, taking only the flags ``SUBCOMMANDS`` lists for it.
+    """Read ``subcommand [flags]``, each flag one ``SUBCOMMANDS`` lists for it, named exactly.
 
-    A flag is named exactly or by a unique prefix and takes its value as
-    ``--flag value`` or ``--flag=value``; the last repeat wins.  Every
-    usage error raises ``InvalidInputError``, with the message and in the
-    order of the standard library parser.
+    A switch takes no value, and a valued flag takes the next token when it
+    does not start with ``-`` and converts.  Any other argv (a prefix,
+    ``=``, ``--``, ``-h``, an extra token or a bad value) goes to
+    ``_stdlib_parse``, which reads it or words its usage error.
     """
-    extras = []
-    i = 0
-    while i < len(argv) and argv[i] != "--" and (opt := _option(argv[i], HELP, "sunlr")) is not None:
-        if opt[0] is None:
-            extras.append(argv[i])
-        else:
-            _take_help("sunlr", *opt, None)
-        i += 1
-    if argv[i:] in ([], ["--"]):
-        raise _usage_error("sunlr", "the following arguments are required: subcommand")
-    sub = argv[i]
-    if sub not in SUBCOMMANDS:
-        choices = ", ".join(map(repr, SUBCOMMANDS))
-        raise _usage_error("sunlr", f"argument subcommand: invalid choice: {sub!r} (choose from {choices})")
-
-    prog = f"sunlr {sub}"
-    names = (*HELP, "--file", *SUBCOMMANDS[sub][2], "--plain")
-    rest = argv[i + 1 :]
-    # everything from the first -- on is an argument, so an unrecognized one
-    head = rest[: rest.index("--")] if "--" in rest else rest
-    opts = [_option(token, names, prog) for token in head]  # an ambiguous prefix refuses before any flag is read
-    args = SimpleNamespace(subcommand=sub, file=None, cross_check=False, variant=None, budget=None, plain=False)
-    j = 0
-    while j < len(head):
-        token, opt = head[j], opts[j]
-        j += 1
-        if opt is None or opt[0] is None:
-            extras.append(token)
-            continue
-        name, value = opt
-        if name in HELP:
-            _take_help(prog, name, value, sub)
-        convert = FLAGS[name][0]
-        if convert is None:
-            if value is not None:
-                raise _usage_error(prog, f"argument {name}: ignored explicit argument {value!r}")
-            value = True
-        elif value is None:
-            if j == len(head) or opts[j] is not None:
-                raise _usage_error(prog, f"argument {name}: expected one argument")
-            value = head[j]
-            j += 1
-        if convert is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise _usage_error(prog, f"argument {name}: invalid int value: {value!r}")
-        elif isinstance(convert, tuple) and value not in convert:
-            choices = ", ".join(map(repr, convert))
-            raise _usage_error(prog, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
-        setattr(args, name[2:].replace("-", "_"), value)
-    extras += rest[len(head) :]
-    if extras:
-        raise _usage_error("sunlr", f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return _stdlib_parse(argv)
+    args = {"subcommand": argv[0], "file": None, "cross_check": False, "variant": None, "budget": None, "plain": False}
+    names = ("--file", *SUBCOMMANDS[argv[0]][2], "--plain")
+    tokens = iter(argv[1:])
+    for name in tokens:
+        if name not in names:
+            return _stdlib_parse(argv)
+        convert, value = FLAGS[name][0], True
+        if convert is not None:
+            value = next(tokens, "-")  # a missing value falls back as a flag would
+            if value[:1] == "-" or isinstance(convert, tuple) and value not in convert:
+                return _stdlib_parse(argv)
+            if convert is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return _stdlib_parse(argv)
+        args[name[2:].replace("-", "_")] = value
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
     try:
         args = _parse_argv(sys.argv[1:] if argv is None else argv)
         kind = SUBCOMMAND_KIND[args.subcommand]
-        if args.file is not None:
-            try:
+        try:
+            if args.file is not None:
                 with open(args.file) as fh:
                     text = fh.read()
-            except OSError as exc:
-                raise InvalidInputError(f"cannot read {args.file}: {exc}")
-        elif kind in NO_INPUT_KINDS:
-            text = ""
-        else:
-            text = sys.stdin.read()
+            elif kind in NO_INPUT_KINDS:
+                text = ""
+            else:
+                text = sys.stdin.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"cannot read {'standard input' if args.file is None else args.file}: {exc}")
         problem = parse_problem(text, expected_kind=kind)
         if args.variant:
             from .horn import check_variant  # the variant it replaces must be valid all the same

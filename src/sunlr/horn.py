@@ -306,7 +306,10 @@ def _check_rational_tuple(lambdas, n: int, m: int):
     out = []
     plain = True
     for idx, lam in enumerate(lambdas, start=1):
-        vals = list(lam)
+        try:
+            vals = list(lam)
+        except TypeError:
+            raise InvalidInputError(f"lambda({idx}) {lam!r} is not a sequence") from None
         if not all(type(x) is int for x in vals):
             plain = False
             vals = [_rational(x, lam, idx) for x in vals]

@@ -83,7 +83,10 @@ def check_sequence(seq, name="sequence") -> IntSeq:
     Every check reads the one tuple of ``seq``: its entries are ints once
     checked, so the canonical form is that tuple with its zeros trimmed.
     """
-    parts = tuple(seq)
+    try:
+        parts = tuple(seq)
+    except TypeError:
+        raise InvalidInputError(f"{name} {seq!r} is not a sequence") from None
     if not all(type(x) is int for x in parts):
         check_exact(parts, name)
         raise InvalidInputError(f"{name} {list(parts)} must contain integers only")

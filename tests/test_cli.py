@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import re
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sunlr import generalized, hive, horn
+from sunlr import cli, generalized, hive, horn
 from sunlr.cli import SUBCOMMAND_KIND, SUBCOMMANDS, main, parse_problem, run
 from sunlr.errors import InvalidInputError, SunlrError
 from sunlr.lr import lr_coefficient
@@ -435,6 +436,76 @@ def test_main_unreadable_file(capsys, tmp_path):
     report = json.loads(out)
     assert report["error"] == "invalid-input"
     assert report["message"].startswith(f"cannot read {missing}: ")
+
+
+def test_main_undecodable_file(capsys, tmp_path):
+    problem = tmp_path / "bad.json"
+    problem.write_bytes(b"\xff\xfe{")
+    code, out = run_cli(capsys, ["f", "--file", str(problem)])
+    # a locale that decodes every byte reads it, and the JSON is malformed
+    assert (code, json.loads(out)["error"]) == (1, "invalid-input")
+
+
+def test_main_undecodable_stdin(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out = run_cli(capsys, ["f"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["error"] == "invalid-input"
+    assert report["message"].startswith("cannot read standard input: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_main_deeply_nested_document(capsys, monkeypatch):
+    text = '{"kind": "f_sun", "n": 1, "lambdas": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    code, out = run_cli(capsys, ["f"], stdin=text, monkeypatch=monkeypatch)
+    assert (code, json.loads(out)) == (1, {"error": "invalid-input", "message": "JSON document nested too deeply"})
+
+
+# one subcommand per list of flags it reads, every flag, forms only the
+# standard library parser reads (a prefix, =, --, -h), and values: an int, a
+# negative, no int, a choice, no choice, empty, with a space, signed
+ARGV_TOKENS = [
+    *{flags: sub for sub, (_, _, flags) in SUBCOMMANDS.items()}.values(),
+    *cli.FLAGS,
+    "--b", "--budget=5", "--", "-h",
+    "5", "-1", "x", "one", "bogus", "", " 7", "+3",
+]
+
+
+def argvs(max_tokens):
+    return [list(argv) for k in range(max_tokens + 1) for argv in itertools.product(ARGV_TOKENS, repeat=k)]
+
+
+def test_fast_path_reads_argv_as_argparse_does(monkeypatch):
+    class Fallback(Exception):
+        pass
+
+    def fallback(argv):
+        raise Fallback
+
+    stdlib_parse = cli._stdlib_parse
+    monkeypatch.setattr(cli, "_stdlib_parse", fallback)
+    fast = 0
+    for argv in argvs(4):
+        try:
+            args = cli._parse_argv(argv)
+        except Fallback:
+            continue
+        fast += 1
+        assert vars(args) == vars(stdlib_parse(argv)), argv
+    assert fast > len(ARGV_TOKENS), fast
+
+
+def test_every_short_argv_parses_or_refuses(capsys):
+    for argv in argvs(2):
+        try:
+            cli._parse_argv(argv)
+        except InvalidInputError:
+            pass
+        except SystemExit as exc:  # -h printed the help
+            assert exc.code == 0, argv
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

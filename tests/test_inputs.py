@@ -63,6 +63,7 @@ ENTRY_RULES = {
     "float": (((1.5,), (1,), (1,), (1,)), 1, f"lambda(1) [1.5] {INEXACT}"),
     "bool": (((1,), (True,), (1,), (1,)), 1, f"lambda(2) [True] {INEXACT}"),
     "increasing": (((0, 1), (1,), (1,), (1,)), 2, "lambda(1) [0, 1] is not weakly decreasing"),
+    "not-a-sequence": ((1, 1, 1, 1), 2, "lambda(1) 1 is not a sequence"),
 }
 
 

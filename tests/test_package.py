@@ -137,10 +137,31 @@ HEAVY = {"dataclasses", "inspect", "argparse", "gettext", "locale", "fractions",
         (["f1"], {"kind": "f1", "n": 1, "lambdas": [[1]] * 4}, CHAIN),
         (["f"], {"kind": "f_sun", "n": 1, "lambdas": [[1]] * 4}, CHAIN),
         (["cone"], {"kind": "cone", "n": 1, "lambdas": [[1]] * 4}, CHAIN + ["sunlr.horn", "sunlr.linprog"]),
+        (
+            ["cone", "--cross-check"],
+            {"kind": "cone", "n": 1, "lambdas": [[1]] * 4},
+            CHAIN + ["sunlr.horn", "sunlr.linprog"],
+        ),
         (["positivity"], {"kind": "positivity", "n": 1, "lambdas": [[1]] * 4}, CHAIN + LP),
+        (
+            ["positivity", "--cross-check", "--budget", "5000"],
+            {"kind": "positivity", "n": 1, "lambdas": [[1]] * 4},
+            CHAIN + LP,
+        ),
         (["f", "--cross-check"], {"kind": "f_sun", "n": 1, "lambdas": [[1]] * 4}, CHAIN + LP + ["sunlr.quiver"]),
     ],
-    ids=["lr", "lr-cross-check", "stretch", "f1", "f", "cone", "positivity", "f-cross-check"],
+    ids=[
+        "lr",
+        "lr-cross-check",
+        "stretch",
+        "f1",
+        "f",
+        "cone",
+        "cone-cross-check",
+        "positivity",
+        "positivity-cross-check-budget",
+        "f-cross-check",
+    ],
 )
 def test_request_loads_only_its_layers(tmp_path, argv, doc, extra):
     problem = tmp_path / "problem.json"
