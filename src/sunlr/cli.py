@@ -8,10 +8,10 @@ document: JSON, kind, fields, their JSON types and m against the number of
 sequences.  Each value in it is checked by the library, whose error is
 printed as raised.
 
-Exit codes: 0 success, 1 input or usage error, 2 oracle disagreement, 3
-budget exceeded, which includes a request that runs out of memory.  Every
-subcommand takes ``--file`` and ``--plain``, takes the other flags only
-where ``SUBCOMMANDS`` lists them, and exits 1 on any other:
+Exit codes: 0 success, 1 input or usage error or unwritable standard output,
+2 oracle disagreement, 3 budget exceeded, which includes a request that runs
+out of memory.  Every subcommand takes ``--file`` and ``--plain``, takes the
+other flags only where ``SUBCOMMANDS`` lists them, and exits 1 on any other:
 ``--cross-check`` (``lr``, ``f``, ``positivity``, ``cone``) re-derives
 values by every available method and fails loudly on disagreement,
 ``--variant`` (``cone``, ``horn-gen``) overrides the document's valid variant, and
@@ -34,6 +34,7 @@ quiver layers; and ``selftest`` every layer.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -139,7 +140,7 @@ def _run_lr(p, cross_check, budget):
                 raise BudgetExceededError(f"hive enumeration has {points} choice points, budget is {budget}")
             methods["hive"] = lr_hive_count(lam, mu, nu, p.n)
         report["methods"] = sorted(methods)
-        report["cross_check"] = {k: v for k, v in sorted(methods.items())}
+        report["cross_check"] = methods
         if len(set(methods.values())) > 1:
             raise OracleDisagreementError(f"lr methods disagree: {methods}")
     return report
@@ -156,13 +157,11 @@ def _run_f_sun(p, cross_check, budget):
         # the LP first: its row budget comes before any O(n) work, and its
         # rows outnumber each hive factor's choice points, so it bounds them too
         positive = hive.positivity(p.lambdas, p.n, p.m, budget=budget)
-        methods = {"chain": value}
-        methods["sun_hive_count"] = hive.count_sun_hives(p.lambdas, p.n, budget=budget)
+        methods = {"chain": value, "sun_hive_count": hive.count_sun_hives(p.lambdas, p.n, budget=budget)}
         Q = quiver.SunQuiver(p.n, p.m // 2)
         methods["weight_space"] = quiver.dim_si_sun(Q, quiver.weight_sigma1(p.lambdas, p.n))
         report["methods"] = sorted(methods) + ["lp_positivity"]
-        report["cross_check"] = {k: v for k, v in sorted(methods.items())}
-        report["cross_check"]["lp_positivity"] = positive
+        report["cross_check"] = {**methods, "lp_positivity": positive}
         if len(set(methods.values())) > 1 or positive != (value > 0):
             raise OracleDisagreementError(
                 f"f_sun methods disagree: {methods}, lp positivity {positive}"
@@ -281,53 +280,35 @@ def _run_facets26(p, cross_check, budget):
 
 def _run_selftest(p, cross_check, budget):
     """Exhaustive small-instance agreement suites; raises on any mismatch."""
-    import itertools
+    from itertools import product
 
-    from . import generalized, hive, horn, quiver
+    from . import hive, horn, quiver
+    from .generalized import LevelOneSpec, f_sun, level1_f, level1_lambdas
 
+    def four_way(n, lams):
+        a = f_sun(lams, n)
+        c = quiver.dim_si_sun(quiver.SunQuiver(n, 2), quiver.weight_sigma1(lams, n))
+        return a == hive.count_sun_hives(lams, n) == c and hive.positivity(lams, n, 4) == (a > 0)
+
+    def level1(j, N):
+        spec = LevelOneSpec(j)
+        return level1_f(spec, N) == f_sun(level1_lambdas(spec, N), max(1, *j))
+
+    triples = list(iter_partition_tuples(2, 2, 3))
+    small = [(n, lams) for n in (1, 2) for lams in iter_partition_tuples(n, 1, 4)]
+    # suite -> (agreement check, cases as its argument tuples)
+    table = {
+        "lr_tableau_vs_hive": (lambda *lams: lr_coefficient(*lams, 2) == lr_hive_count(*lams, 2), triples),
+        "four_way_oracle": (four_way, small),
+        "horn_equivalence": (lambda n, lams: horn.in_cone(lams, n, 4, "one") == (f_sun(lams, n) != 0), small),
+        "level1_closed_form": (level1, list(product(product(range(2), repeat=4), (1, 2)))),
+    }
     suites = {}
-
-    count = 0
-    for lams in iter_partition_tuples(2, 2, 3):
-        lam, mu, nu = lams
-        if lr_coefficient(lam, mu, nu, 2) != lr_hive_count(lam, mu, nu, 2):
-            raise OracleDisagreementError(f"lr oracle mismatch at {lams}")
-        count += 1
-    suites["lr_tableau_vs_hive"] = count
-
-    count = 0
-    for n in (1, 2):
-        Q = quiver.SunQuiver(n, 2)
-        for lams in iter_partition_tuples(n, 1, 4):
-            a = generalized.f_sun(lams, n)
-            b = hive.count_sun_hives(lams, n)
-            c = quiver.dim_si_sun(Q, quiver.weight_sigma1(lams, n))
-            d = hive.positivity(lams, n, 4)
-            if not (a == b == c and d == (a > 0)):
-                raise OracleDisagreementError(f"four-way oracle mismatch at n={n}, {lams}")
-            count += 1
-    suites["four_way_oracle"] = count
-
-    count = 0
-    for n in (1, 2):
-        for lams in iter_partition_tuples(n, 1, 4):
-            member = horn.in_cone(lams, n, 4, "one")
-            if member != (generalized.f_sun(lams, n) != 0):
-                raise OracleDisagreementError(f"cone/nonvanishing mismatch at n={n}, {lams}")
-            count += 1
-    suites["horn_equivalence"] = count
-
-    count = 0
-    for j in itertools.product(range(2), repeat=4):
-        spec = generalized.LevelOneSpec(j)
-        for N in (1, 2):
-            a = generalized.level1_f(spec, N)
-            b = generalized.f_sun(generalized.level1_lambdas(spec, N), max(1, max(j, default=1)))
-            if a != b:
-                raise OracleDisagreementError(f"level-1 closed form mismatch at j={j}, N={N}")
-            count += 1
-    suites["level1_closed_form"] = count
-
+    for name, (agrees, cases) in table.items():
+        for case in cases:
+            if not agrees(*case):
+                raise OracleDisagreementError(f"selftest {name} mismatch at {case}")
+        suites[name] = len(cases)
     return {"kind": "selftest", "passed": True, "suites": suites}
 
 
@@ -435,6 +416,19 @@ def _parse_argv(argv):
     return SimpleNamespace(**args)
 
 
+def _write(text) -> int:
+    """Print ``text``; if stdout fails, say so on stderr, point fd 1 at the null device and return 1."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(null := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(null)
+        print(f"sunlr: cannot write standard output: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     try:
         args = _parse_argv(sys.argv[1:] if argv is None else argv)
@@ -460,14 +454,8 @@ def main(argv=None) -> int:
         if isinstance(exc, MemoryError):
             exc = BudgetExceededError("ran out of memory; set --budget to refuse inputs this large")
         payload = {"error": exc.code, "message": str(exc)}
-        print(json.dumps(payload, sort_keys=True))
-        return exc.exit_code
-
-    if args.plain:
-        print(_render_plain(report))
-    else:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    return 0
+        return _write(json.dumps(payload, sort_keys=True)) or exc.exit_code
+    return _write(_render_plain(report) if args.plain else json.dumps(report, sort_keys=True, indent=2))
 
 
 if __name__ == "__main__":

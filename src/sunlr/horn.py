@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from operator import itemgetter
 
@@ -101,19 +101,11 @@ class SubsetTuple(namedtuple("SubsetTuple", "subsets n")):
         return tuple(coeffs)
 
     def sides(self, lambdas_full):
-        even = sum(
-            lambdas_full[i - 1][j - 1]
-            for i, subset in enumerate(self.subsets, start=1)
-            if i % 2 == 0
-            for j in subset
-        )
-        odd = sum(
-            lambdas_full[i - 1][j - 1]
-            for i, subset in enumerate(self.subsets, start=1)
-            if i % 2 == 1
-            for j in subset
-        )
-        return even, odd
+        """(even side, odd side) at the padded tuple ``lambdas_full``, l(i)_j read at [i - 1][j - 1]."""
+        sides = [0, 0]
+        for i, subset in enumerate(self.subsets, start=1):
+            sides[i % 2] += sum(lambdas_full[i - 1][j - 1] for j in subset)
+        return sides[0], sides[1]
 
     def holds(self, lambdas_full) -> bool:
         even, odd = self.sides(lambdas_full)
@@ -381,18 +373,16 @@ def _index_rows(tuples, n: int, m: int, variant: str) -> tuple:
         sieved = _two_term_sums(tuples, n, m, variant)
         zero = n * m
 
-        def getter(side):
+        def getter(flags):
+            side = [*chain.from_iterable(flags)]
             return itemgetter(*side, *(zero,) * (2 - len(side)))
 
         rows = []
         for st in tuples:
-            if st.subsets in sieved:
-                continue
-            vec = st.coefficient_vector()
-            rows.append((
-                getter([k for k, c in enumerate(vec) if c > 0]),
-                getter([k for k, c in enumerate(vec) if c < 0]),
-            ))
+            if st.subsets not in sieved:
+                flat = [[k * n + j - 1 for j in subset] for k, subset in enumerate(st.subsets)]
+                # the even flags I_2, I_4, ... (odd k) are the + side
+                rows.append((getter(flat[1::2]), getter(flat[0::2])))
         rows = _T_CACHE[key] = tuple(rows)
     return rows
 
@@ -540,11 +530,8 @@ def _chamber_rows(n: int, m: int):
 
 
 def _balance_row(n: int, m: int):
-    row = []
-    for i in range(1, m + 1):
-        sgn = 1 if i % 2 == 0 else -1
-        row.extend([sgn] * n)
-    return tuple(row)
+    """The row of the full subset tuple: total size of the even flags less that of the odd ones."""
+    return SubsetTuple([range(1, n + 1)] * m, n).coefficient_vector()
 
 
 _FACET_CACHE: dict[tuple, tuple] = {}
@@ -675,14 +662,7 @@ def computed_facets_2_6() -> dict:
     printed = {rep: tuple(map(tuple, rec["subsets"])) for rep, rec in _by_orbit(golden["facets"]).items()}
     reps = sorted({canonical_orbit_representative(st.subsets, 6) for st in facets})
     records = [facet_record(SubsetTuple(printed.get(rep, rep), 2), k) for k, rep in enumerate(reps, start=1)]
-    return {
-        "version": golden["version"],
-        "n": 2,
-        "m": 6,
-        "facets": records,
-        "facet_count_up_to_symmetry": len(records),
-        "facet_count_total": len(facets),
-    }
+    return {"version": golden["version"], "n": 2, "m": 6, "facets": records}
 
 
 def verify_facets_2_6() -> dict:

@@ -214,10 +214,12 @@ def iter_lr_hives(lam, mu, nu, n: int):
 
 def lr_hive_count(lam, mu, nu, n: int) -> int:
     """c^nu_{lam,mu} as the number of integer hives with boundary (lam, mu, nu)."""
+    parts = []
     for name, seq in (("lambda", lam), ("mu", mu), ("nu", nu)):
-        if len(check_partition(seq, name)) > n:
+        parts.append(check_partition(seq, name))
+        if len(parts[-1]) > n:
             return 0
-    return _lr_hive_count_cached(canonical(lam), canonical(mu), canonical(nu), n)
+    return _lr_hive_count_cached(*parts, n)
 
 
 @cache

@@ -252,8 +252,6 @@ def partitions_of_size_in_box(total: int, bound) -> list[IntSeq]:
 
     if total == 0:
         return [()]
-    if not box:
-        return []
     rec(0, box[0], total, [])
     return out
 

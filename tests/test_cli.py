@@ -2,8 +2,11 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -60,6 +63,11 @@ def test_parse_rejects_malformed_json():
 def test_parse_rejects_kind_mismatch():
     with pytest.raises(InvalidInputError):
         parse_problem(doc(kind="f1", n=1, lambdas=[[1]] * 4), expected_kind="f_sun")
+
+
+def test_parse_rejects_missing_kind_without_a_subcommand():
+    with pytest.raises(InvalidInputError, match="^missing 'kind' field$"):
+        parse_problem(doc(n=1, lambdas=[[1]] * 4))
 
 
 def test_main_rejects_float_in_cone(capsys, monkeypatch):
@@ -396,6 +404,25 @@ def test_main_selftest(capsys, monkeypatch):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "suite, name, fake",
+    [
+        ("lr_tableau_vs_hive", "sunlr.cli.lr_hive_count", lambda *a: 99),
+        ("four_way_oracle", "sunlr.hive.count_sun_hives", lambda *a, **k: 99),
+        ("horn_equivalence", "sunlr.horn.in_cone", lambda *a, **k: None),
+        ("level1_closed_form", "sunlr.generalized.level1_f", lambda *a: -1),
+    ],
+    ids=["lr", "four-way", "horn", "level1"],
+)
+def test_main_selftest_names_the_failing_suite(capsys, monkeypatch, suite, name, fake):
+    monkeypatch.setattr(name, fake)
+    code, out = run_cli(capsys, ["selftest"], stdin="", monkeypatch=monkeypatch)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "oracle-disagreement"
+    assert payload["message"].startswith(f"selftest {suite} mismatch at (")
+
+
 def test_main_oracle_disagreement_exit_code(capsys, monkeypatch):
     # a cross-check that sees inconsistent oracles must exit 2, never pass silently
     import sunlr.hive
@@ -529,8 +556,23 @@ def test_every_short_argv_parses_or_refuses(capsys):
             "invalid-input",
             "lambda(1) = [1, 1] has more than n=1 parts",
         ),
+        (["f"], "[1, 2]", "invalid-input", "problem document must be a JSON object"),
+        (
+            ["lr"],
+            doc(kind="lr", n=2, lambdas=[[1], [1]]),
+            "invalid-input",
+            "kind 'lr' needs exactly three sequences [lambda, mu, nu]",
+        ),
+        (["f"], doc(kind="f_sun", n=1, m=6, lambdas=[[1]] * 4), "invalid-input", "m=6 but 4 sequences given"),
     ],
-    ids=["factorize-no-tight-inequality", "positivity-odd-m", "positivity-too-many-parts"],
+    ids=[
+        "factorize-no-tight-inequality",
+        "positivity-odd-m",
+        "positivity-too-many-parts",
+        "not-an-object",
+        "lr-two-sequences",
+        "m-not-the-sequence-count",
+    ],
 )
 def test_main_input_errors(capsys, monkeypatch, argv, payload, error, message):
     code, out = run_cli(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
@@ -639,6 +681,47 @@ def test_selftest_does_not_wait_for_open_stdin():
         report = json.loads(proc.stdout.read())
     assert code == 0
     assert report["passed"] is True
+
+
+def test_main_replays_the_golden_corpus(capsys, monkeypatch):
+    # every request of tests/data/cli_golden.json, valid and refused: the
+    # same exit code and byte for byte the same standard output
+    entries = json.loads((Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text())
+    assert len(entries) == 100
+    for entry in entries:
+        code, out = run_cli(capsys, list(entry["argv"]), stdin=entry["stdin"], monkeypatch=monkeypatch)
+        assert (code, out) == (entry["exit"], entry["stdout"]), entry["argv"]
+
+
+def run_child(argv, stdin, stdout):
+    """Run ``python -m sunlr`` with ``argv`` in a fresh process; (exit code, standard error)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "sunlr", *argv]
+    proc = subprocess.run(cmd, env=env, input=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+def test_main_closed_pipe_on_stdout_exits_1():
+    read, write = os.pipe()
+    os.close(read)  # closed before the child starts: its first write fails
+    try:
+        code, err = run_child(["f"], doc(kind="f_sun", n=1, lambdas=ONES), write)
+    finally:
+        os.close(write)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("sunlr: cannot write standard output: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("lambdas", [ONES, [[1]] * 5], ids=["report", "error-payload"])
+def test_main_full_stdout_exits_1(lambdas):
+    with open("/dev/full", "w") as full:
+        code, err = run_child(["f"], doc(kind="f_sun", n=1, lambdas=lambdas), full)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("sunlr: cannot write standard output: ")
 
 
 # one valid document per subcommand, n <= 2 and entries <= 3; the fuzz below mutates them

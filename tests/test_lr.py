@@ -89,6 +89,12 @@ def test_hive_spec_values():
     assert lr_hive_count((1,), (1,), (3,), 3) == 0
 
 
+def test_hive_checks_in_order_and_keys_on_canonical_form():
+    # an oversized lambda answers 0 before mu is read; trailing zeros are trimmed once
+    assert lr_hive_count((1, 1, 1), (1.5,), (2,), 2) == 0
+    assert lr_hive_count((1, 0), (1, 0, 0), (2,), 2) == lr_hive_count((1,), (1,), (2,), 2) == 1
+
+
 def test_tableau_count_long_row():
     # one cell per box: the count must not recurse once per cell
     assert lr_coefficient((2000,), (2000,), (4000,), 1) == 1
